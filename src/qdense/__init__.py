@@ -59,7 +59,6 @@ from .padic import (
     TruncatedPAdic,
     hensel_lift_root,
     inverse_mod,
-    mod_pow,
     padic_norm,
     valuation,
 )
@@ -71,7 +70,6 @@ from .residues import (
     stabilization_exponent,
     nth_power_residues,
     nth_root_in_Zp,
-    stabilization_check,
 )
 
 __version__ = "0.1.0"

@@ -1,0 +1,56 @@
+"""NotDense obstruction certificates and their JSON form.
+
+A ValuationGap lists residues mod n that no quotient valuation attains; a
+ResidueGap names a unit class mod p^e never hit by a valuation-zero
+quotient.  Both are exact finite claims that the oracle can check against
+enumeration.  The JSON form is {"kind": class name, then the fields in
+declaration order}, with frozensets written as sorted lists.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, fields
+
+__all__ = ["ValuationGap", "ResidueGap", "to_dict", "from_dict"]
+
+
+@dataclass(frozen=True)
+class ValuationGap:
+    """No quotient of nonzero values has valuation in `forbidden` mod n."""
+
+    p: int
+    n: int
+    forbidden: frozenset
+
+    def __post_init__(self):
+        object.__setattr__(self, "forbidden", frozenset(self.forbidden))
+        if not self.forbidden:
+            raise ValueError("a valuation gap must forbid at least one class")
+
+
+@dataclass(frozen=True)
+class ResidueGap:
+    """No valuation-zero quotient is congruent to `unit_class` mod p^modulus_exponent."""
+
+    p: int
+    n: int
+    unit_class: int
+    modulus_exponent: int
+
+
+_KINDS = {cls.__name__: cls for cls in (ValuationGap, ResidueGap)}
+
+
+def to_dict(certificate) -> dict:
+    data = {"kind": type(certificate).__name__}
+    for f in fields(certificate):
+        value = getattr(certificate, f.name)
+        data[f.name] = sorted(value) if isinstance(value, frozenset) else value
+    return data
+
+
+def from_dict(data: dict):
+    cls = _KINDS.get(data["kind"])
+    if cls is None:
+        raise ValueError(f"unknown certificate kind {data['kind']!r}")
+    return cls(**{f.name: data[f.name] for f in fields(cls)})

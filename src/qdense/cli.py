@@ -10,12 +10,15 @@ The enumeration budget defaults to 10^7 points and can be overridden by
 from __future__ import annotations
 
 import argparse
+import csv
+import itertools
 import json
 import os
 import sys
 from fractions import Fraction
 
 from . import __version__
+from .certificates import to_dict as certificate_to_dict
 from .denseness import (
     DENSE,
     INCONCLUSIVE,
@@ -23,18 +26,16 @@ from .denseness import (
     decide,
     verdict_to_dict,
 )
-from .errors import BudgetExceeded, NoRoot, QdenseError
+from .errors import DEFAULT_BUDGET, BudgetExceeded, NoRoot, QdenseError
 from .forms import DiagonalForm, is_anisotropic_mod_p
 from .oracle import check_certificate, quotient_coverage
 from .padic import valuation
-from .residues import is_nth_power_in_Zp, nth_power_residues, nth_root_in_Zp
+from .residues import nth_power_residues, nth_root_in_Zp
 
 EXIT_BY_STATUS = {DENSE: 0, NOT_DENSE: 1, INCONCLUSIVE: 2}
 EXIT_CONTRADICTION = 3
 EXIT_USAGE = 64
 EXIT_BUDGET = 65
-
-DEFAULT_BUDGET = 10**7
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,33 +43,29 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _parse_coeffs(text: str):
-    try:
-        coeffs = tuple(int(c) for c in text.split(","))
-    except ValueError:
-        raise SystemExit(_usage_error("coefficients must be integers"))
-    if any(c == 0 for c in coeffs):
-        raise SystemExit(_usage_error("zero coefficients are not allowed"))
-    return coeffs
+def _int_at_least(lo: int):
+    """argparse type: an int >= lo, so bad values exit 64 before any work."""
 
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
+    parse.__name__ = "int"  # argparse names the type in its error message
+    return parse
 
 
 def _form_from_args(args) -> DiagonalForm:
-    try:
-        return DiagonalForm(args.n, _parse_coeffs(args.coeffs))
-    except ValueError as exc:
-        raise SystemExit(_usage_error(str(exc)))
+    return DiagonalForm(args.n, args.coeffs.split(","))
 
 
 def _budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
     env = os.environ.get("QDENSE_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    budget = args.budget if args.budget is not None else int(env or DEFAULT_BUDGET)
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    return budget
 
 
 def _print_verdict(verdict, as_json: bool):
@@ -80,18 +77,13 @@ def _print_verdict(verdict, as_json: bool):
         print(f"  [{entry.rule}] {entry.statement}")
         if entry.params:
             print(f"        params: {entry.params}")
-    cert = verdict.certificate
-    if cert is not None:
-        d = verdict_to_dict(verdict)["certificate"]
-        print(f"certificate: {d}")
+    if verdict.certificate is not None:
+        print(f"certificate: {certificate_to_dict(verdict.certificate)}")
 
 
 def cmd_decide(args) -> int:
     form = _form_from_args(args)
-    try:
-        verdict = decide(form, args.p, budget=_budget(args))
-    except QdenseError as exc:
-        return _usage_error(str(exc))
+    verdict = decide(form, args.p, budget=_budget(args))
     _print_verdict(verdict, args.json)
     return EXIT_BY_STATUS[verdict.status]
 
@@ -100,13 +92,7 @@ def cmd_oracle(args) -> int:
     form = _form_from_args(args)
     budget = _budget(args)
     V = args.V if args.V is not None else form.n
-    try:
-        report = quotient_coverage(
-            form, args.p, B=args.box, K=args.K, V=V, budget=budget
-        )
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    report = quotient_coverage(form, args.p, B=args.box, K=args.K, V=V, budget=budget)
     if args.csv:
         print(report.to_csv(), end="")
     elif args.json:
@@ -148,8 +134,6 @@ def _survey_rows(args):
     else:
         lo, hi = args.coeff_range
         coeff_values = [c for c in range(lo, hi + 1) if c != 0]
-        import itertools
-
         for n in args.n_list:
             for p in args.p_list:
                 for coeffs in itertools.product(coeff_values, repeat=args.vars):
@@ -158,7 +142,7 @@ def _survey_rows(args):
 
 def cmd_survey(args) -> int:
     if not args.input and not (args.n_list and args.p_list and args.coeff_range):
-        return _usage_error(
+        raise ValueError(
             "survey needs --input FILE or all of --n-list/--p-list/--coeff-range"
         )
     budget = _budget(args)
@@ -176,18 +160,16 @@ def cmd_survey(args) -> int:
         try:
             verdict = decide(DiagonalForm(n, coeffs), p, budget=budget)
             row["status"] = verdict.status
-            row["rule"] = verdict.trace[-1].rule if verdict.trace else ""
-            cert = verdict_to_dict(verdict)["certificate"]
-            row["certificate"] = cert["kind"] if cert else ""
+            row["rule"] = verdict.deciding_rule
+            if verdict.certificate is not None:
+                row["certificate"] = type(verdict.certificate).__name__
         except (QdenseError, ValueError) as exc:
             row["error"] = str(exc)
         rows.append(row)
     if args.json:
         print(json.dumps(rows, indent=2))
     else:
-        import csv as csv_mod
-
-        writer = csv_mod.DictWriter(
+        writer = csv.DictWriter(
             sys.stdout,
             fieldnames=["n", "coeffs", "p", "status", "rule", "certificate", "error"],
         )
@@ -200,22 +182,16 @@ def cmd_lift(args) -> int:
     try:
         c = Fraction(args.c)
     except (ValueError, ZeroDivisionError):
-        return _usage_error(f"cannot parse rational {args.c!r}")
+        raise ValueError(f"cannot parse rational {args.c!r}") from None
     if c == 0:
-        return _usage_error("c must be nonzero")
+        raise ValueError("c must be nonzero")
     try:
-        if valuation(c, args.p) < 0 or not is_nth_power_in_Zp(c, args.n, args.p):
-            print(
-                f"NoRoot: x^{args.n} = {c} has no solution in Z_{args.p}",
-                file=sys.stderr,
-            )
-            return 1
+        if valuation(c, args.p) < 0:
+            raise NoRoot(f"x^{args.n} = {c} has no solution in Z_{args.p}")
         root = nth_root_in_Zp(c, args.n, args.p, args.prec, budget=_budget(args))
     except NoRoot as exc:
         print(f"NoRoot: {exc}", file=sys.stderr)
         return 1
-    except QdenseError as exc:
-        return _usage_error(str(exc))
     modulus = args.p**args.prec
     if args.json:
         print(
@@ -229,11 +205,7 @@ def cmd_lift(args) -> int:
 
 
 def cmd_residues(args) -> int:
-    try:
-        rs = nth_power_residues(args.n, args.p, args.M, budget=_budget(args))
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    rs = nth_power_residues(args.n, args.p, args.M, budget=_budget(args))
     members = rs.sorted_members()
     if args.json:
         print(
@@ -251,11 +223,7 @@ def cmd_residues(args) -> int:
 
 def cmd_aniso(args) -> int:
     form = _form_from_args(args)
-    try:
-        aniso, witness = is_anisotropic_mod_p(form, args.p, budget=_budget(args))
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    aniso, witness = is_anisotropic_mod_p(form, args.p, budget=_budget(args))
     if args.json:
         print(
             json.dumps(
@@ -274,7 +242,9 @@ def cmd_aniso(args) -> int:
 
 
 def _add_form_args(sub):
-    sub.add_argument("--n", type=int, required=True, help="degree of the form")
+    sub.add_argument(
+        "--n", type=_int_at_least(1), required=True, help="degree of the form"
+    )
     sub.add_argument(
         "--coeffs", required=True, help="comma-separated nonzero coefficients"
     )
@@ -294,8 +264,8 @@ def build_parser() -> _Parser:
 
     p_oracle = subs.add_parser("oracle", help="brute-force coverage report")
     _add_form_args(p_oracle)
-    p_oracle.add_argument("--box", "-B", type=int, default=50)
-    p_oracle.add_argument("--K", type=int, default=2)
+    p_oracle.add_argument("--box", "-B", type=_int_at_least(0), default=50)
+    p_oracle.add_argument("--K", type=_int_at_least(1), default=2)
     p_oracle.add_argument("--V", type=int, default=None, help="default: n")
     p_oracle.add_argument(
         "--check",
@@ -331,7 +301,7 @@ def build_parser() -> _Parser:
         "lift", help="constructive nth-root witness mod p^prec"
     )
     p_lift.add_argument("--c", required=True, help="rational, e.g. -1 or 8/27")
-    p_lift.add_argument("--n", type=int, required=True)
+    p_lift.add_argument("--n", type=_int_at_least(1), required=True)
     p_lift.add_argument("--p", type=int, required=True)
     p_lift.add_argument("--prec", type=int, required=True)
     p_lift.add_argument("--json", action="store_true")
@@ -339,7 +309,7 @@ def build_parser() -> _Parser:
     p_lift.set_defaults(func=cmd_lift)
 
     p_res = subs.add_parser("residues", help="dump nth-power residues mod p^M")
-    p_res.add_argument("--n", type=int, required=True)
+    p_res.add_argument("--n", type=_int_at_least(1), required=True)
     p_res.add_argument("--p", type=int, required=True)
     p_res.add_argument("--M", type=int, required=True)
     p_res.add_argument("--json", action="store_true")
@@ -364,6 +334,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except (QdenseError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

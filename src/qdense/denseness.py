@@ -26,10 +26,7 @@ Rules, tried in this fixed order, earliest conclusive hit wins:
       of the full form, so any Dense binary subform decides Dense.
   R6  otherwise Inconclusive, with a brute-force coverage summary attached.
 
-Certificates are exact finite claims: a ValuationGap lists residues mod n
-that no quotient valuation attains; a ResidueGap names a unit class mod
-p^e never hit by a valuation-zero quotient.  Both can be (and in the test
-suite are) checked against independent enumeration.
+NotDense certificates and their JSON form live in `certificates`.
 """
 
 from __future__ import annotations
@@ -37,7 +34,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .errors import BudgetExceeded, DimensionMismatch, UnsupportedDegree
+from .certificates import ResidueGap, ValuationGap
+from .certificates import from_dict as certificate_from_dict
+from .certificates import to_dict as certificate_to_dict
+from .errors import (
+    DEFAULT_BUDGET,
+    BudgetExceeded,
+    DimensionMismatch,
+    UnsupportedDegree,
+)
 from .forms import (
     DiagonalForm,
     find_nonsingular_zero_mod_p,
@@ -45,7 +50,8 @@ from .forms import (
     normalize_binary,
     valuation_profile,
 )
-from .padic import as_prime, inverse_mod
+from .oracle import quotient_coverage
+from .padic import as_prime, inverse_mod, split_power
 from .residues import is_nth_power_residue, stabilization_exponent
 
 __all__ = [
@@ -66,32 +72,6 @@ __all__ = [
 DENSE = "Dense"
 NOT_DENSE = "NotDense"
 INCONCLUSIVE = "Inconclusive"
-
-DEFAULT_BUDGET = 10**7
-
-
-@dataclass(frozen=True)
-class ValuationGap:
-    """No quotient of nonzero values has valuation in `forbidden` mod n."""
-
-    p: int
-    n: int
-    forbidden: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "forbidden", frozenset(self.forbidden))
-        if not self.forbidden:
-            raise ValueError("a valuation gap must forbid at least one class")
-
-
-@dataclass(frozen=True)
-class ResidueGap:
-    """No valuation-zero quotient is congruent to `unit_class` mod p^modulus_exponent."""
-
-    p: int
-    n: int
-    unit_class: int
-    modulus_exponent: int
 
 
 @dataclass(frozen=True, eq=True)
@@ -119,6 +99,13 @@ class Verdict:
     def rules_fired(self) -> tuple:
         return tuple(entry.rule for entry in self.trace)
 
+    @property
+    def deciding_rule(self) -> str:
+        """The highest-numbered rule in the trace ("" if it is empty).  An R5
+        trace ends with the R1 entries of its dense subform, so the last
+        entry does not name the deciding rule."""
+        return max(self.rules_fired, key=lambda rule: int(rule[1:]), default="")
+
 
 def difference_cover_check(residues, n: int):
     """Does {x - y mod n : x, y in residues} cover all of Z/nZ?
@@ -131,15 +118,6 @@ def difference_cover_check(residues, n: int):
     diffs = {(x - y) % n for x in residues for y in residues}
     missing = sorted(set(range(n)) - diffs)
     return not missing, missing
-
-
-def _vp_int(x: int, p: int) -> int:
-    v = 0
-    x = abs(x)
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
 
 
 def _cancellation_offsets(m0: int, n: int, p: int, M: int):
@@ -155,7 +133,7 @@ def _cancellation_offsets(m0: int, n: int, p: int, M: int):
     offsets = {0}
     seen_powers = {pow(w, n, pM) for w in range(1, pM) if w % p}
     for wn in seen_powers:
-        offsets.add(_vp_int((wn - m0) % pM, p))
+        offsets.add(split_power((wn - m0) % pM, p)[0])
     return offsets
 
 
@@ -325,8 +303,6 @@ def _smallest_non_residue(n: int, p: int):
 
 
 def _oracle_summary(form: DiagonalForm, p, budget: int) -> dict:
-    from .oracle import quotient_coverage
-
     points = min(budget, 120_000)
     B = max(2, int((points ** (1.0 / form.r) - 1) / 2))
     report = quotient_coverage(form, p, B=B, K=1, V=form.n, budget=budget)
@@ -521,51 +497,25 @@ def _shared_class_triple(residues):
 
 
 def verdict_to_dict(verdict: Verdict) -> dict:
-    cert = None
-    if isinstance(verdict.certificate, ValuationGap):
-        cert = {
-            "kind": "ValuationGap",
-            "p": verdict.certificate.p,
-            "n": verdict.certificate.n,
-            "forbidden": sorted(verdict.certificate.forbidden),
-        }
-    elif isinstance(verdict.certificate, ResidueGap):
-        cert = {
-            "kind": "ResidueGap",
-            "p": verdict.certificate.p,
-            "n": verdict.certificate.n,
-            "unit_class": verdict.certificate.unit_class,
-            "modulus_exponent": verdict.certificate.modulus_exponent,
-        }
+    cert = verdict.certificate
     return {
         "status": verdict.status,
         "rules": [
             {"id": e.rule, "citation": e.statement, "params": e.params}
             for e in verdict.trace
         ],
-        "certificate": cert,
+        "certificate": None if cert is None else certificate_to_dict(cert),
     }
 
 
 def verdict_from_dict(data: dict) -> Verdict:
-    cert = None
     raw = data.get("certificate")
-    if raw is not None:
-        if raw["kind"] == "ValuationGap":
-            cert = ValuationGap(
-                p=raw["p"], n=raw["n"], forbidden=frozenset(raw["forbidden"])
-            )
-        elif raw["kind"] == "ResidueGap":
-            cert = ResidueGap(
-                p=raw["p"],
-                n=raw["n"],
-                unit_class=raw["unit_class"],
-                modulus_exponent=raw["modulus_exponent"],
-            )
-        else:
-            raise ValueError(f"unknown certificate kind {raw['kind']!r}")
     trace = tuple(
         RuleApplication(e["id"], e["citation"], e.get("params", {}))
         for e in data["rules"]
     )
-    return Verdict(status=data["status"], trace=trace, certificate=cert)
+    return Verdict(
+        status=data["status"],
+        trace=trace,
+        certificate=None if raw is None else certificate_from_dict(raw),
+    )

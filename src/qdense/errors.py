@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the enumeration budget.
+
+DEFAULT_BUDGET caps every exhaustive enumeration (box points, residues,
+F_p vectors) unless a caller passes its own budget; exceeding a budget
+raises BudgetExceeded.
+"""
+
+DEFAULT_BUDGET = 10**7
 
 
 class QdenseError(Exception):

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
-from .errors import BudgetExceeded, DimensionMismatch, NotFound
-from .padic import as_prime
+from .errors import DEFAULT_BUDGET, BudgetExceeded, DimensionMismatch, NotFound
+from .padic import as_prime, split_power
 
 __all__ = [
     "DiagonalForm",
@@ -27,8 +26,6 @@ __all__ = [
     "find_nonsingular_zero_mod_p",
     "valuation_profile",
 ]
-
-DEFAULT_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -81,16 +78,6 @@ class DiagonalForm:
         return " ".join(parts)
 
 
-def _split(a: int, p: int):
-    """a = p^alpha * unit with the sign kept on the unit."""
-    alpha = 0
-    u = a
-    while u % p == 0:
-        u //= p
-        alpha += 1
-    return alpha, u
-
-
 @dataclass(frozen=True)
 class BinaryNormalization:
     """Result of reducing a*x^n + b*y^n to p^d*la*x^n + lb*y^n with d = delta mod n.
@@ -122,8 +109,8 @@ def normalize_binary(form: DiagonalForm, p) -> BinaryNormalization:
     p = as_prime(p).p
     n = form.n
     a, b = form.coeffs
-    alpha, la = _split(a, p)
-    beta, lb = _split(b, p)
+    alpha, la = split_power(a, p)
+    beta, lb = split_power(b, p)
     delta = alpha - beta
     d = delta % n
     normalized = DiagonalForm(n, (p**d * la, lb))
@@ -232,7 +219,7 @@ def valuation_profile(form: DiagonalForm, p) -> ValuationProfile:
     v_p(F(x)) mod n ranges over precisely {v_p(a_i) mod n}.
     """
     p = as_prime(p).p
-    splits = [_split(a, p) for a in form.coeffs]
+    splits = [split_power(a, p) for a in form.coeffs]
     vals = tuple(alpha for alpha, _ in splits)
     residues = tuple(alpha % form.n for alpha in vals)
     distinct = len(set(residues)) == len(residues)
@@ -245,23 +232,3 @@ def valuation_profile(form: DiagonalForm, p) -> ValuationProfile:
         unit_parts=tuple(u for _, u in splits),
         attainable_value_residues=frozenset(residues) if distinct else None,
     )
-
-
-def quotient_identity_holds(form: DiagonalForm, p, points) -> bool:
-    """Check F(x,y)/F(z,w) == normalized(scaled points) exactly, in Q.
-
-    Used by tests to validate that normalization preserves quotients.
-    """
-    norm = normalize_binary(form, p)
-    p = norm.p
-    qa, qb = norm.point_scale
-    x, y, z, w = points
-    denom = form.evaluate((z, w))
-    if denom == 0:
-        raise ZeroDivisionError("denominator point is a root")
-    lhs = Fraction(form.evaluate((x, y)), denom)
-    rhs = Fraction(
-        norm.normalized.evaluate((p**qa * x, p**qb * y)),
-        norm.normalized.evaluate((p**qa * z, p**qb * w)),
-    )
-    return lhs == rhs

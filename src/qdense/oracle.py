@@ -19,8 +19,8 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
-from .denseness import ResidueGap, ValuationGap
-from .errors import BudgetExceeded, ParameterMismatch
+from .certificates import ResidueGap, ValuationGap
+from .errors import DEFAULT_BUDGET, BudgetExceeded, ParameterMismatch
 from .forms import DiagonalForm
 from .padic import as_prime, inverse_mod
 
@@ -34,8 +34,6 @@ __all__ = [
     "check_certificate",
     "coverage_trend",
 ]
-
-DEFAULT_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -153,6 +151,7 @@ def enumerate_values(
         value = sum(m[x] for m, x in zip(monomials, point))
         if value == 0:
             continue
+        # Inline, not split_power: a call per box point slows this hot loop.
         v = 0
         while value % p == 0:
             value //= p

@@ -24,7 +24,6 @@ __all__ = [
     "TruncatedPAdic",
     "valuation",
     "padic_norm",
-    "mod_pow",
     "inverse_mod",
     "hensel_lift_root",
 ]
@@ -42,10 +41,7 @@ def _is_prime(n: int) -> bool:
     for q in _MR_BASES:
         if n % q == 0:
             return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s, d = split_power(n - 1, 2)
     for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -135,6 +131,19 @@ def as_prime(p) -> PrimeModulus:
     return _certified(p)
 
 
+def split_power(x: int, p: int):
+    """(v, unit) with x = p^v * unit and p not dividing unit; the sign of x
+    stays on the unit.  Raises ValueError on x == 0, which has no such split.
+    """
+    if x == 0:
+        raise ValueError("zero has no p-adic unit part")
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v, x
+
+
 def valuation(x, p):
     """Exponent of p in the rational x; INFINITY iff x == 0.
 
@@ -147,16 +156,7 @@ def valuation(x, p):
     x = Fraction(x)
     if x == 0:
         return INFINITY
-    v = 0
-    num = abs(x.numerator)
-    while num % p == 0:
-        num //= p
-        v += 1
-    den = x.denominator
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return split_power(x.numerator, p)[0] - split_power(x.denominator, p)[0]
 
 
 def padic_norm(x, p) -> Fraction:
@@ -165,26 +165,6 @@ def padic_norm(x, p) -> Fraction:
     if v is INFINITY:
         return Fraction(0)
     return Fraction(int(p)) ** (-v)
-
-
-def mod_pow(base: int, exp: int, modulus: int) -> int:
-    """base**exp mod modulus by square-and-multiply.
-
-    Mirrors the semantics of the builtin three-argument pow for
-    nonnegative exponents; kept explicit so tests can cross-check the two.
-    """
-    if modulus < 1:
-        raise ValueError("modulus must be >= 1")
-    if exp < 0:
-        raise ValueError("exponent must be nonnegative")
-    result = 1 % modulus
-    base %= modulus
-    while exp:
-        if exp & 1:
-            result = result * base % modulus
-        base = base * base % modulus
-        exp >>= 1
-    return result
 
 
 def inverse_mod(a: int, modulus: int) -> int:
@@ -302,17 +282,6 @@ def poly_derivative(coeffs):
     return [i * c for i, c in enumerate(coeffs)][1:]
 
 
-def _int_valuation(x: int, p: int):
-    if x == 0:
-        return INFINITY
-    v = 0
-    x = abs(x)
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
 def hensel_lift_root(poly, p, x0: int, K: int) -> int:
     """Lift an approximate simple root of an integer polynomial to mod p^K.
 
@@ -329,8 +298,8 @@ def hensel_lift_root(poly, p, x0: int, K: int) -> int:
         raise ValueError("precision K must be >= 1")
     coeffs = [int(c) for c in poly]
     deriv = poly_derivative(coeffs)
-    s = _int_valuation(poly_eval(coeffs, x0), p)
-    t = _int_valuation(poly_eval(deriv, x0), p)
+    s = valuation(poly_eval(coeffs, x0), p)
+    t = valuation(poly_eval(deriv, x0), p)
     if t is INFINITY or (s is not INFINITY and s <= 2 * t):
         raise PreconditionFailed(
             f"need v(f(x0)) > 2*v(f'(x0)); got v(f)={s}, v(f')={t}"
@@ -343,7 +312,7 @@ def hensel_lift_root(poly, p, x0: int, K: int) -> int:
     # mod p^K, i.e. v(f(x)) >= K + t.
     for _ in range(K.bit_length() + K + 2):
         fx = poly_eval(coeffs, x, work)
-        if _int_valuation(fx, p) >= K + t:
+        if valuation(fx, p) >= K + t:
             break
         dx = poly_eval(deriv, x, work)
         # f/f' = (f/p^t) * (f'/p^t)^{-1}: the unit part of f' is inverted

@@ -18,11 +18,18 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .errors import BudgetExceeded, NegativeValuation, NoRoot, NotAUnit
+from .errors import (
+    DEFAULT_BUDGET,
+    BudgetExceeded,
+    NegativeValuation,
+    NoRoot,
+    NotAUnit,
+)
 from .padic import (
     as_prime,
     hensel_lift_root,
     inverse_mod,
+    split_power,
     unit_residue,
     valuation,
 )
@@ -34,11 +41,8 @@ __all__ = [
     "nth_power_residues",
     "is_nth_power_residue",
     "is_nth_power_in_Zp",
-    "stabilization_check",
     "nth_root_in_Zp",
 ]
-
-DEFAULT_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -59,14 +63,10 @@ def stabilization_exponent(n: int, p) -> StabilizationExponent:
     """Compute k = v_p(n) and M = k + v_p(2^[2|n]) + 1.
 
     The bracket [2|n] is 1 iff n is even, so the middle term is 1 exactly
-    when p = 2 and n is even.
+    when p = 2 and n is even.  Raises ValueError for n == 0.
     """
     p = as_prime(p).p
-    k = 0
-    m = n
-    while m % p == 0:
-        m //= p
-        k += 1
+    k, _ = split_power(n, p)
     M = k + (1 if (p == 2 and n % 2 == 0) else 0) + 1
     return StabilizationExponent(p=p, n=n, k=k, M=M)
 
@@ -185,34 +185,6 @@ def is_nth_power_in_Zp(c, n: int, p) -> bool:
         return False
     exp = stabilization_exponent(n, p)
     return is_nth_power_residue(unit_residue(c, p, exp.M), n, p, exp.M)
-
-
-def stabilization_check(
-    u: int, pk: int, p, depth: int, budget: int = DEFAULT_BUDGET
-) -> bool:
-    """Test harness for the residue-status ladder of p^k-th powers.
-
-    Checks, by independent brute-force enumeration, that u's status as a
-    p^k-th power residue is the same at modulus exponent k + v_p(2) + 1 and
-    at exponent k + v_p(2) + 1 + depth.  Expected to return True always.
-    """
-    p = as_prime(p).p
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    if u % p == 0:
-        raise NotAUnit(f"{u} is divisible by {p}")
-    k = 0
-    m = pk
-    while m % p == 0:
-        m //= p
-        k += 1
-    if m != 1 or k < 1:
-        raise ValueError(f"{pk} is not a positive power of {p}")
-    e0 = k + (1 if p == 2 else 0) + 1
-    e1 = e0 + depth
-    low = nth_power_residues(pk, p, e0, budget)
-    high = nth_power_residues(pk, p, e1, budget)
-    return (u % p**e0 in low.members) == (u % p**e1 in high.members)
 
 
 def nth_root_in_Zp(c, n: int, p, K: int, budget: int = DEFAULT_BUDGET) -> int:

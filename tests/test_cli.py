@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qdense.cli import main
 from qdense.denseness import decide, verdict_from_dict
 from qdense.forms import DiagonalForm
@@ -34,6 +36,33 @@ def test_decide_zero_coefficient_exit_64(capsys):
 def test_decide_usage_error_exit_64(capsys):
     code = main(["decide", "--n", "3", "--coeffs", "1,1"])  # missing --p
     assert code == 64
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["decide", "--n", "3", "--coeffs", "1,1", "--p", "4"], 64),
+        (["oracle", "--n", "3", "--coeffs", "1,1", "--p", "4"], 64),
+        (["aniso", "--n", "3", "--coeffs", "1,1", "--p", "4"], 64),
+        (["residues", "--n", "3", "--p", "4", "--M", "1"], 64),
+        (["residues", "--n", "3", "--p", "7", "--M", "0"], 64),
+        (["lift", "--c", "2", "--n", "-2", "--p", "7", "--prec", "3"], 64),
+        (["lift", "--c", "2", "--n", "0", "--p", "7", "--prec", "3"], 64),
+        (["oracle", "--n", "3", "--coeffs", "1,1", "--p", "7", "--K", "0"], 64),
+        (["oracle", "--n", "3", "--coeffs", "1,1", "--p", "7", "--box", "-1"], 64),
+        (["decide", "--n", "0", "--coeffs", "1,1", "--p", "7"], 64),
+        (["decide", "--n", "3", "--coeffs", "x,1", "--p", "7"], 64),
+        (["decide", "--n", "2", "--coeffs", "1,-1", "--p", "5", "--budget", "-1"], 64),
+        (["decide", "--n", "3", "--coeffs", "1,1,1", "--p", "7", "--budget", "10"], 65),
+        (["aniso", "--n", "3", "--coeffs", "1,1,1", "--p", "7", "--budget", "10"], 65),
+        (["residues", "--n", "3", "--p", "7", "--M", "3", "--budget", "10"], 65),
+        (["lift", "--c", "2", "--n", "3", "--p", "5", "--prec", "4", "--budget", "2"],
+         65),
+    ],
+)
+def test_bad_input_fails_closed(argv, code, capsys):
+    assert main(argv) == code
+    assert "error" in capsys.readouterr().err
 
 
 def test_decide_json_round_trips(capsys):
@@ -140,6 +169,18 @@ def test_survey_rows_deterministic(capsys):
     main(args)
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_survey_rule_is_the_deciding_rule(tmp_path, capsys):
+    # R5 decides x^4 - y^4 + 3z^4 at p = 5 through a dense binary subform,
+    # whose R1 entries end the trace.
+    path = tmp_path / "queries.jsonl"
+    path.write_text('{"n": 4, "coeffs": [1, -1, 3], "p": 5}\n')
+    assert decide(DiagonalForm(4, (1, -1, 3)), 5).rules_fired == ("R5", "R1", "R1")
+    code = main(["survey", "--input", str(path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines()[1] == '4,"1,-1,3",5,Dense,R5,,'
 
 
 def test_survey_input_file(tmp_path, capsys):

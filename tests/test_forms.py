@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,7 +9,6 @@ from qdense.forms import (
     find_nonsingular_zero_mod_p,
     is_anisotropic_mod_p,
     normalize_binary,
-    quotient_identity_holds,
     valuation_profile,
 )
 
@@ -65,6 +65,19 @@ def test_normalize_keeps_signs_on_units():
     norm = normalize_binary(DiagonalForm(4, (-8, 6)), 2)
     assert norm.units == (-1, 3)
     assert norm.delta == 2
+
+
+def quotient_identity_holds(form: DiagonalForm, p, points) -> bool:
+    """F(x,y)/F(z,w) == normalized(scaled points), exactly in Q."""
+    norm = normalize_binary(form, p)
+    qa, qb = norm.point_scale
+    x, y, z, w = points
+    lhs = Fraction(form.evaluate((x, y)), form.evaluate((z, w)))
+    rhs = Fraction(
+        norm.normalized.evaluate((p**qa * x, p**qb * y)),
+        norm.normalized.evaluate((p**qa * z, p**qb * w)),
+    )
+    return lhs == rhs
 
 
 def test_quotient_invariance_of_normalization():

@@ -1,0 +1,54 @@
+"""Import hygiene of the package: every import sits at module level, and
+neither the oracle nor the certificate module imports the rule engine
+(which imports them), so the engine and the oracle cannot form a cycle."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "qdense"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _imported_modules(node):
+    """Dotted names an Import/ImportFrom node can bind, relative ones as '.x'."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    base = "." * node.level + (node.module or "")
+    if node.module is None:
+        return [base + alias.name for alias in node.names]
+    return [base]
+
+
+def test_package_modules_found():
+    assert {"denseness.py", "oracle.py", "certificates.py"} <= {
+        m.name for m in MODULES
+    }
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_level_imports(path):
+    tree = ast.parse(path.read_text())
+    nested = [
+        f"{path.name}:{inner.lineno}"
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for inner in ast.walk(func)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))
+    ]
+    assert not nested, f"imports inside functions: {nested}"
+
+
+@pytest.mark.parametrize("name", ["oracle.py", "certificates.py"])
+def test_no_engine_import_from(name):
+    tree = ast.parse((SRC / name).read_text())
+    imported = [
+        target
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for target in _imported_modules(node)
+    ]
+    assert imported, "the walk found no imports at all"
+    bad = [t for t in imported if t.split(".")[-1] == "denseness"]
+    assert not bad, f"{name} imports the rule engine: {bad}"

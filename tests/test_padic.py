@@ -10,9 +10,9 @@ from qdense.padic import (
     TruncatedPAdic,
     hensel_lift_root,
     inverse_mod,
-    mod_pow,
     padic_norm,
     poly_eval,
+    split_power,
     unit_residue,
     valuation,
 )
@@ -48,6 +48,14 @@ def test_valuation_examples():
     assert valuation(50, 5) == 2  # 50 = 2 * 5^2
     assert valuation(0, 7) is INFINITY
     assert valuation(Fraction(3, 7), 7) == -1
+
+
+def test_split_power():
+    assert split_power(50, 5) == (2, 2)
+    assert split_power(-24, 2) == (3, -3)  # the sign stays on the unit
+    assert split_power(7, 3) == (0, 7)
+    with pytest.raises(ValueError):
+        split_power(0, 5)
 
 
 def test_norm_examples():
@@ -87,21 +95,6 @@ def test_norm_matches_valuation_on_10k_randoms():
 # ---------------------------------------------------------------------------
 # modular arithmetic
 # ---------------------------------------------------------------------------
-
-
-def test_mod_pow_examples():
-    assert mod_pow(3, 3, 7) == 6
-    assert mod_pow(2, 0, 9) == 1
-    assert mod_pow(5, 4, 16) == 1  # 625 = 39*16 + 1
-
-
-def test_mod_pow_agrees_with_builtin():
-    rng = random.Random(3)
-    for _ in range(500):
-        b = rng.randint(-50, 10**9)
-        e = rng.randint(0, 10**6)
-        m = rng.randint(1, 10**9)
-        assert mod_pow(b, e, m) == pow(b, e, m)
 
 
 def test_inverse_mod_examples():

@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 
 from qdense.errors import NegativeValuation, NoRoot, NotAUnit
+from qdense.padic import split_power
 from qdense.residues import (
     is_nth_power_in_Zp,
     is_nth_power_residue,
     stabilization_exponent,
     nth_power_residues,
     nth_root_in_Zp,
-    stabilization_check,
 )
 
 # ---------------------------------------------------------------------------
@@ -25,6 +25,8 @@ def test_stabilization_exponent_examples():
     assert (e.k, e.M) == (2, 4)
     e = stabilization_exponent(5, 7)
     assert (e.k, e.M) == (0, 1)
+    with pytest.raises(ValueError):  # v_p(0) is infinite; no M exists
+        stabilization_exponent(0, 5)
 
 
 def test_stabilization_exponent_invariant():
@@ -139,6 +141,19 @@ def test_nth_power_in_Zp_matches_deep_enumeration():
 # ---------------------------------------------------------------------------
 # stabilization ladder
 # ---------------------------------------------------------------------------
+
+
+def stabilization_check(u: int, pk: int, p: int, depth: int) -> bool:
+    """Does u's status as a p^k-th power residue agree, by brute-force
+    enumeration, at modulus exponents k + v_p(2) + 1 and that plus depth?"""
+    assert depth >= 0 and u % p != 0
+    k, m = split_power(pk, p)
+    assert m == 1 and k >= 1, f"{pk} is not a positive power of {p}"
+    e0 = k + (1 if p == 2 else 0) + 1
+    e1 = e0 + depth
+    low = nth_power_residues(pk, p, e0)
+    high = nth_power_residues(pk, p, e1)
+    return (u % p**e0 in low) == (u % p**e1 in high)
 
 
 def test_stabilization_examples():
