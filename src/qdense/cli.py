@@ -126,11 +126,23 @@ def cmd_oracle(args) -> int:
 def _survey_rows(args):
     if args.input:
         with open(args.input) as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    query = json.loads(line)
-                    yield query["n"], tuple(query["coeffs"]), query["p"]
+            for lineno, line in enumerate(handle, 1):
+                if not line.strip():
+                    continue
+                query = json.loads(line)
+                try:
+                    n, coeffs, p = query["n"], query["coeffs"], query["p"]
+                    ok = type(coeffs) is list and all(
+                        type(x) is int for x in (n, p, *coeffs)
+                    )
+                except (KeyError, TypeError):
+                    ok = False
+                if not ok:
+                    raise ValueError(
+                        f"{args.input} line {lineno}: expected "
+                        '{"n": int, "coeffs": [int, ...], "p": int}'
+                    )
+                yield n, tuple(coeffs), p
     else:
         lo, hi = args.coeff_range
         coeff_values = [c for c in range(lo, hi + 1) if c != 0]
@@ -266,7 +278,9 @@ def build_parser() -> _Parser:
     _add_form_args(p_oracle)
     p_oracle.add_argument("--box", "-B", type=_int_at_least(0), default=50)
     p_oracle.add_argument("--K", type=_int_at_least(1), default=2)
-    p_oracle.add_argument("--V", type=int, default=None, help="default: n")
+    p_oracle.add_argument(
+        "--V", type=_int_at_least(0), default=None, help="default: n"
+    )
     p_oracle.add_argument(
         "--check",
         action="store_true",
@@ -303,7 +317,7 @@ def build_parser() -> _Parser:
     p_lift.add_argument("--c", required=True, help="rational, e.g. -1 or 8/27")
     p_lift.add_argument("--n", type=_int_at_least(1), required=True)
     p_lift.add_argument("--p", type=int, required=True)
-    p_lift.add_argument("--prec", type=int, required=True)
+    p_lift.add_argument("--prec", type=_int_at_least(1), required=True)
     p_lift.add_argument("--json", action="store_true")
     p_lift.add_argument("--budget", type=int, default=None)
     p_lift.set_defaults(func=cmd_lift)

@@ -19,9 +19,10 @@ Rules, tried in this fixed order, earliest conclusive hit wins:
       common valuation class mod 3 reduce to a unit ternary cubic, which
       always has a non-singular zero over F_p and hence a simple p-adic
       root; Dense.
-  R4  anisotropy obstruction (primitive F, any degree n >= 2): a form with
-      no nonzero root mod p only takes values with valuation divisible by
-      n; NotDense.
+  R4  anisotropy obstruction (any degree n >= 2, all coefficient
+      valuations agree mod n): scaling and x_i -> p^t x_i reduce F to its
+      unit-part form; when that form has no nonzero root mod p, every value
+      valuation of F lies in one class mod n; NotDense.
   R5  subform closure: the quotient set of a subform is contained in that
       of the full form, so any Dense binary subform decides Dense.
   R6  otherwise Inconclusive, with a brute-force coverage summary attached.
@@ -321,6 +322,8 @@ def _oracle_summary(form: DiagonalForm, p, budget: int) -> dict:
 
 def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Apply rules R1-R6 in order; see the module docstring for the table."""
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     p = as_prime(p)
     n = form.n
     trace = []
@@ -328,8 +331,8 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
     if n >= 3 and form.r == 2:
         return decide_binary(form, p, budget)
 
+    prof = valuation_profile(form, p)
     if n >= 3:
-        prof = valuation_profile(form, p)
         gate = gcd(n, p.p * (p.p - 1)) == 1
         if gate and not prof.pairwise_distinct:
             i, j = _matching_pair(prof.residues)
@@ -404,9 +407,10 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
                 )
                 return Verdict(DENSE, tuple(trace))
 
-    if form.is_primitive():
+    if len(set(prof.residues)) == 1:
+        unit_form = DiagonalForm(n, prof.unit_parts)
         try:
-            aniso, _ = is_anisotropic_mod_p(form, p, budget)
+            aniso, _ = is_anisotropic_mod_p(unit_form, p, budget)
         except BudgetExceeded:
             aniso = False
             trace.append(
@@ -421,11 +425,16 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
             trace.append(
                 RuleApplication(
                     "R4",
-                    "the form is primitive and has no nonzero root mod p, "
-                    "so F(x) = 0 mod p forces x = 0 mod p and every value "
-                    "valuation is a multiple of n; quotient valuations "
-                    "miss all other classes",
-                    {"forbidden": list(range(1, n))},
+                    "all coefficient valuations agree mod n, so scaling "
+                    "and x_i -> p^t x_i reduce the form to its unit-part "
+                    "form, which has no nonzero root mod p; a zero mod p "
+                    "forces x = 0 mod p, so every value valuation lies in "
+                    "one class mod n and quotient valuations miss all "
+                    "other classes",
+                    {
+                        "unit_coeffs": list(unit_form.coeffs),
+                        "forbidden": list(range(1, n)),
+                    },
                 )
             )
             return Verdict(

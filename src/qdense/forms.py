@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
 
 from .errors import DEFAULT_BUDGET, BudgetExceeded, DimensionMismatch, NotFound
 from .padic import as_prime, split_power
@@ -55,12 +54,6 @@ class DiagonalForm:
             )
         return sum(a * int(x) ** self.n for a, x in zip(self.coeffs, point))
 
-    def is_primitive(self) -> bool:
-        g = 0
-        for a in self.coeffs:
-            g = gcd(g, a)
-        return g == 1
-
     def subform(self, indices) -> "DiagonalForm":
         return DiagonalForm(self.n, tuple(self.coeffs[i] for i in indices))
 
@@ -99,7 +92,6 @@ class BinaryNormalization:
     normalized: DiagonalForm
     point_scale: tuple  # (qa, qb)
     constant_scale: int  # c in the displayed identity
-    trace: tuple
 
 
 def normalize_binary(form: DiagonalForm, p) -> BinaryNormalization:
@@ -118,12 +110,6 @@ def normalize_binary(form: DiagonalForm, p) -> BinaryNormalization:
     qb = max(0, -(-beta // n), -(delta - d) // n)
     c = n * qb - beta
     qa = (c + alpha - d) // n
-    trace = [f"split coefficients: a = {p}^{alpha}*({la}), b = {p}^{beta}*({lb})"]
-    if (alpha, beta) != (d, 0):
-        trace.append(
-            f"scaling by {p}^{c} and substituting (x, y) -> "
-            f"({p}^{qa}*x, {p}^{qb}*y) leaves the quotient set unchanged"
-        )
     return BinaryNormalization(
         p=p,
         n=n,
@@ -133,7 +119,6 @@ def normalize_binary(form: DiagonalForm, p) -> BinaryNormalization:
         normalized=normalized,
         point_scale=(qa, qb),
         constant_scale=c,
-        trace=tuple(trace),
     )
 
 

@@ -28,7 +28,6 @@ from .errors import (
 from .padic import (
     as_prime,
     hensel_lift_root,
-    inverse_mod,
     split_power,
     unit_residue,
     valuation,
@@ -107,44 +106,14 @@ def nth_power_residues(n: int, p, M: int, budget: int = DEFAULT_BUDGET) -> Resid
     return ResidueSet(p=p, exponent=n, M=M, members=_residue_members(n, p, M, budget))
 
 
-def _dlog3_mod_2M(x: int, M: int):
-    """Discrete log of x base 3 in the cyclic 2-group <3> mod 2^M (M >= 3).
-
-    Returns t with 3^t == x (mod 2^M), or None if x lies outside <3>.
-    Bit peeling: the group has order 2^(M-2), so at step i the partial
-    quotient raised to 2^(M-3-i) is either 1 (bit 0) or the order-2
-    element (bit 1).
-    """
-    mod = 1 << M
-    e = M - 2
-    t = 0
-    for i in range(e):
-        z = pow(x * pow(inverse_mod(3, mod), t, mod) % mod, 1 << (e - 1 - i), mod)
-        if z != 1:
-            t += 1 << i
-    return t if pow(3, t, mod) == x % mod else None
-
-
-@lru_cache(maxsize=1 << 18)
-def _two_adic_decomposition(u: int, M: int):
-    """Write the odd u as (-1)^s * 3^t mod 2^M, M >= 3."""
-    mod = 1 << M
-    t = _dlog3_mod_2M(u % mod, M)
-    if t is not None:
-        return 0, t
-    t = _dlog3_mod_2M(-u % mod, M)
-    if t is None:
-        raise AssertionError(f"{u} mod 2^{M} escaped the <-1> x <3> decomposition")
-    return 1, t
-
-
 def is_nth_power_residue(u: int, n: int, p, M: int) -> bool:
     """Is u an nth power of some unit, modulo p^M?
 
     Uses group structure rather than enumeration: the units mod p^M form a
     cyclic group for odd p (order phi = p^(M-1)(p-1), so the answer is
-    u^(phi/g) == 1 with g = gcd(n, phi)); for p = 2 and M >= 3 the group
-    splits as <-1> x <3> and the test runs componentwise.
+    u^(phi/g) == 1 with g = gcd(n, phi)).  For p = 2 write n = 2^k * m with
+    m odd: odd powers permute the units, and the 2^k-th powers of units mod
+    2^M are exactly the classes == 1 mod 2^min(k+2, M).
     """
     p = as_prime(p).p
     if M < 1:
@@ -159,12 +128,8 @@ def is_nth_power_residue(u: int, n: int, p, M: int) -> bool:
         phi = p ** (M - 1) * (p - 1)
         g = gcd(n, phi)
         return pow(u, phi // g, pM) == 1
-    if M <= 2:
-        return any(pow(a, n, pM) == u for a in range(1, pM, 2))
-    s, t = _two_adic_decomposition(u, M)
-    if n % 2 == 1:
-        return True
-    return s == 0 and t % gcd(n, 1 << (M - 2)) == 0
+    k, _ = split_power(n, 2)
+    return k == 0 or u % (1 << min(k + 2, M)) == 1
 
 
 def is_nth_power_in_Zp(c, n: int, p) -> bool:

@@ -5,6 +5,7 @@ lines.  Budgets and tolerances are pinned here; every check is exact.
 """
 
 import itertools
+import math
 import random
 
 from qdense.denseness import (
@@ -292,7 +293,7 @@ def _random_anisotropic_forms(count, rng):
         n, p, r = rng.choice(pool)
         coeffs = tuple(rng.choice(range(1, p)) for _ in range(r))
         form = DiagonalForm(n, coeffs)
-        if not form.is_primitive():
+        if math.gcd(*form.coeffs) != 1:
             continue
         aniso, _ = is_anisotropic_mod_p(form, p)
         if aniso:

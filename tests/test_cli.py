@@ -58,6 +58,8 @@ def test_decide_usage_error_exit_64(capsys):
         (["residues", "--n", "3", "--p", "7", "--M", "3", "--budget", "10"], 65),
         (["lift", "--c", "2", "--n", "3", "--p", "5", "--prec", "4", "--budget", "2"],
          65),
+        (["oracle", "--n", "3", "--coeffs", "1,1", "--p", "7", "--V", "-2"], 64),
+        (["lift", "--c", "8", "--n", "3", "--p", "5", "--prec", "0"], 64),
     ],
 )
 def test_bad_input_fails_closed(argv, code, capsys):
@@ -194,6 +196,23 @@ def test_survey_input_file(tmp_path, capsys):
     rows = json.loads(capsys.readouterr().out)
     assert code == 0
     assert [r["status"] for r in rows] == ["Dense", "NotDense", "NotDense"]
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"n": 3, "p": 7}',
+        '{"n": 3, "coeffs": 5, "p": 7}',
+        "[3, [1, 1], 7]",
+        '{"n": "3", "coeffs": [1, 1], "p": 7}',
+        '{"n": 3, "coeffs": [1.5, 1], "p": 7}',
+    ],
+)
+def test_survey_input_wrong_shape_exit_64(tmp_path, capsys, line):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"n": 3, "coeffs": [1, 1], "p": 7}\n' + line + "\n")
+    assert main(["survey", "--input", str(path)]) == 64
+    assert "line 2" in capsys.readouterr().err
 
 
 def test_survey_empty_input(tmp_path, capsys):

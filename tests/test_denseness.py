@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdense.denseness import (
     DENSE,
@@ -198,6 +200,28 @@ def test_decide_isotropic_quadratic_inconclusive():
     assert "oracle" in v.trace[-1].params
 
 
+def test_decide_anisotropy_on_the_unit_part_form():
+    # Scaling and x_i -> p^t x_i preserve the quotient set, so these forms
+    # take the verdict of x^2 at p = 3 and x^4 + y^4 + z^4 at p = 5.
+    for coeffs, n, p, units in [
+        ((4,), 2, 3, [4]),
+        ((5, 5, 5), 4, 5, [1, 1, 1]),
+        ((1, 1, 625), 4, 5, [1, 1, 1]),
+    ]:
+        v = decide(DiagonalForm(n, coeffs), p)
+        assert v.status == NOT_DENSE, coeffs
+        assert v.rules_fired == ("R4",)
+        assert v.trace[0].params["unit_coeffs"] == units
+        assert v.certificate == ValuationGap(
+            p=p, n=n, forbidden=frozenset(range(1, n))
+        )
+
+
+def test_decide_rejects_negative_budget():
+    with pytest.raises(ValueError):
+        decide(DiagonalForm(2, (1, -1)), 5, budget=-1)
+
+
 def test_decide_single_variable_not_dense():
     v = decide(DiagonalForm(4, (3,)), 5)
     assert v.status == NOT_DENSE
@@ -238,6 +262,34 @@ def test_decide_scaling_invariance():
         substituted = list(coeffs)
         substituted[i] *= p**n
         assert decide(DiagonalForm(n, tuple(substituted)), p).status == base.status
+
+
+@st.composite
+def _rescaled_pair(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    n = draw(st.integers(2, 12))
+    coeffs = draw(
+        st.lists(st.integers(1, 30) | st.integers(-30, -1), min_size=1, max_size=4)
+    )
+    c = draw(st.integers(1, 50) | st.integers(-50, -1))
+    shifts = draw(
+        st.lists(st.integers(0, 2), min_size=len(coeffs), max_size=len(coeffs))
+    )
+    order = draw(st.permutations(range(len(coeffs))))
+    other = [c * coeffs[i] * p ** (n * shifts[i]) for i in order]
+    return n, p, tuple(coeffs), tuple(other)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rescaled_pair())
+def test_decide_invariant_under_quotient_preserving_maps(case):
+    # Scaling by c, permuting, and a_i -> p^(n t) a_i (x_i -> p^t x_i) all
+    # leave the quotient set unchanged.  budget=10_000 only shrinks R6's
+    # oracle box: at p <= 13, r <= 4 every rule's enumeration fits under it.
+    n, p, coeffs, other = case
+    base = decide(DiagonalForm(n, coeffs), p, budget=10_000)
+    moved = decide(DiagonalForm(n, other), p, budget=10_000)
+    assert (moved.status, moved.certificate) == (base.status, base.certificate)
 
 
 def test_decide_complete_when_gcd_condition_holds():

@@ -13,7 +13,7 @@ from qdense.forms import (
 )
 
 # ---------------------------------------------------------------------------
-# evaluation and primitivity
+# evaluation and validation
 # ---------------------------------------------------------------------------
 
 
@@ -36,12 +36,6 @@ def test_invalid_forms_rejected():
         DiagonalForm(1, (1, 2))
     with pytest.raises(ValueError):
         DiagonalForm(3, ())
-
-
-def test_is_primitive():
-    assert DiagonalForm(3, (1, 2)).is_primitive()
-    assert not DiagonalForm(3, (2, 4)).is_primitive()
-    assert DiagonalForm(2, (6, 10, 15)).is_primitive()
 
 
 # ---------------------------------------------------------------------------
