@@ -57,7 +57,7 @@ def _int_at_least(lo: int):
 
 
 def _form_from_args(args) -> DiagonalForm:
-    return DiagonalForm(args.n, args.coeffs.split(","))
+    return DiagonalForm(args.n, tuple(int(a) for a in args.coeffs.split(",")))
 
 
 def _budget(args) -> int:
@@ -125,7 +125,11 @@ def cmd_oracle(args) -> int:
 
 def _survey_rows(args):
     if args.input:
-        with open(args.input) as handle:
+        try:
+            handle = open(args.input)
+        except OSError as exc:
+            raise ValueError(f"cannot read {args.input}: {exc.strerror}") from None
+        with handle:
             for lineno, line in enumerate(handle, 1):
                 if not line.strip():
                     continue

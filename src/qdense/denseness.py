@@ -25,7 +25,9 @@ Rules, tried in this fixed order, earliest conclusive hit wins:
       valuation of F lies in one class mod n; NotDense.
   R5  subform closure: the quotient set of a subform is contained in that
       of the full form, so any Dense binary subform decides Dense.
-  R6  otherwise Inconclusive, with a brute-force coverage summary attached.
+  R6  otherwise Inconclusive.  The engine never runs the brute-force
+      oracle; `qdense oracle --K 1 --check` gathers coverage evidence for an
+      undecided form.
 
 NotDense certificates and their JSON form live in `certificates`.
 """
@@ -51,9 +53,8 @@ from .forms import (
     normalize_binary,
     valuation_profile,
 )
-from .oracle import quotient_coverage
 from .padic import as_prime, inverse_mod, split_power
-from .residues import is_nth_power_residue, stabilization_exponent
+from .residues import is_nth_power_residue, nth_power_residues, stabilization_exponent
 
 __all__ = [
     "DENSE",
@@ -121,19 +122,22 @@ def difference_cover_check(residues, n: int):
     return not missing, missing
 
 
-def _cancellation_offsets(m0: int, n: int, p: int, M: int):
+def _cancellation_offsets(m0: int, n: int, p: int, M: int, budget: int):
     """The exact set J of valuations v_p(w^n - m0) over p-adic units w,
     for m0 not an nth-power residue mod p^M (so every offset is < M).
 
     Value valuations of la*x^n + lb*y^n with -la^{-1}lb = m0 lie in
     nZ + J with J = {0} union these offsets: coordinates of unequal
     valuation contribute offset 0, and equal-valuation coordinates
-    contribute v_p(w^n - m0) for the unit ratio w.
+    contribute v_p(w^n - m0) for the unit ratio w.  For M = 1 (p does not
+    divide n) m0 is a non-residue mod p, so p divides no w^n - m0 and
+    J = {0} without enumerating the units.
     """
+    if M == 1:
+        return {0}
     pM = p**M
     offsets = {0}
-    seen_powers = {pow(w, n, pM) for w in range(1, pM) if w % p}
-    for wn in seen_powers:
+    for wn in nth_power_residues(n, p, M, budget).members:
         offsets.add(split_power((wn - m0) % pM, p)[0])
     return offsets
 
@@ -199,7 +203,7 @@ def decide_binary(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdic
                 )
             )
             return Verdict(DENSE, tuple(trace))
-        offsets = _cancellation_offsets(m0, n, p.p, exp.M)
+        offsets = _cancellation_offsets(m0, n, p.p, exp.M, budget)
         covers, missing = difference_cover_check(offsets, n)
         if not covers:
             trace.append(
@@ -301,23 +305,6 @@ def _smallest_non_residue(n: int, p: int):
         if not is_nth_power_residue(m, n, p, 1):
             return m
     return None
-
-
-def _oracle_summary(form: DiagonalForm, p, budget: int) -> dict:
-    points = min(budget, 120_000)
-    B = max(2, int((points ** (1.0 / form.r) - 1) / 2))
-    report = quotient_coverage(form, p, B=B, K=1, V=form.n, budget=budget)
-    return {
-        "box": B,
-        "K": 1,
-        "V": form.n,
-        "coverage_by_level": {
-            str(v): round(frac, 4) for v, frac in sorted(report.coverage.items())
-        },
-        "observed_quotient_valuation_residues": sorted(
-            report.quotient_valuation_residues
-        ),
-    }
 
 
 def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
@@ -473,11 +460,7 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
         else "degree-2 forms are only decided by the anisotropy rule here; "
         "the full quadratic classification is prior work"
     )
-    try:
-        summary = _oracle_summary(form, p, budget)
-    except BudgetExceeded:
-        summary = {"error": "oracle budget exceeded"}
-    trace.append(RuleApplication("R6", summary_note, {"oracle": summary}))
+    trace.append(RuleApplication("R6", summary_note))
     return Verdict(INCONCLUSIVE, tuple(trace))
 
 

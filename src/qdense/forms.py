@@ -11,6 +11,7 @@ cubics, and coefficient valuation profiles.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .errors import DEFAULT_BUDGET, BudgetExceeded, DimensionMismatch, NotFound
@@ -29,13 +30,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DiagonalForm:
-    """Degree-n diagonal form with nonzero integer coefficients."""
+    """Degree-n diagonal form with nonzero integer coefficients; a float or
+    string degree or coefficient raises TypeError, it is never truncated."""
 
     n: int
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(a) for a in self.coeffs))
+        object.__setattr__(self, "n", operator.index(self.n))
+        object.__setattr__(
+            self, "coeffs", tuple(operator.index(a) for a in self.coeffs)
+        )
         if self.n < 2:
             raise ValueError("degree must be >= 2")
         if not self.coeffs:

@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from qdense.cli import main
 from qdense.denseness import decide, verdict_from_dict
 from qdense.forms import DiagonalForm
+
+HERE = Path(__file__).resolve().parent
 
 # ---------------------------------------------------------------------------
 # decide
@@ -60,6 +63,9 @@ def test_decide_usage_error_exit_64(capsys):
          65),
         (["oracle", "--n", "3", "--coeffs", "1,1", "--p", "7", "--V", "-2"], 64),
         (["lift", "--c", "8", "--n", "3", "--p", "5", "--prec", "0"], 64),
+        (["survey", "--input", str(HERE / "no-such-survey-input.jsonl")], 64),
+        (["survey", "--input", str(HERE)], 64),
+        (["decide", "--n", "9", "--coeffs", "1,2", "--p", "3", "--budget", "26"], 65),
     ],
 )
 def test_bad_input_fails_closed(argv, code, capsys):

@@ -16,7 +16,7 @@ from qdense.denseness import (
     verdict_from_dict,
     verdict_to_dict,
 )
-from qdense.errors import UnsupportedDegree
+from qdense.errors import BudgetExceeded, UnsupportedDegree
 from qdense.forms import DiagonalForm, valuation_profile
 from qdense.residues import is_nth_power_residue
 
@@ -109,6 +109,19 @@ def test_binary_never_inconclusive():
         assert v.status in (DENSE, NOT_DENSE)
 
 
+def test_binary_offsets_respect_the_budget():
+    # M = 1 (p does not divide n): the non-residue m0 is no cancellation
+    # target mod p, so the offsets are {0} without enumerating p units.
+    v = decide(DiagonalForm(3, (1, 2)), 1000003, budget=1)
+    assert v.status == NOT_DENSE
+    assert v.trace[-1].params["offsets"] == [0]
+    # M = 3 for n = 9 at p = 3: the offsets enumerate the units mod 3^3.
+    form = DiagonalForm(9, (1, 2))
+    with pytest.raises(BudgetExceeded):
+        decide(form, 3, budget=26)
+    assert decide(form, 3, budget=27).status == NOT_DENSE
+
+
 def test_binary_rejects_quadratics():
     with pytest.raises(UnsupportedDegree):
         decide_binary(DiagonalForm(2, (1, 1)), 3)
@@ -197,7 +210,7 @@ def test_decide_isotropic_quadratic_inconclusive():
     v = decide(DiagonalForm(2, (1, -1)), 5)
     assert v.status == INCONCLUSIVE
     assert v.rules_fired == ("R6",)
-    assert "oracle" in v.trace[-1].params
+    assert v.trace[-1].params == {}
 
 
 def test_decide_anisotropy_on_the_unit_part_form():
@@ -284,8 +297,8 @@ def _rescaled_pair(draw):
 @given(_rescaled_pair())
 def test_decide_invariant_under_quotient_preserving_maps(case):
     # Scaling by c, permuting, and a_i -> p^(n t) a_i (x_i -> p^t x_i) all
-    # leave the quotient set unchanged.  budget=10_000 only shrinks R6's
-    # oracle box: at p <= 13, r <= 4 every rule's enumeration fits under it.
+    # leave the quotient set unchanged.  budget=10_000 changes no verdict:
+    # at p <= 13, r <= 4, n <= 12 every rule's enumeration fits under it.
     n, p, coeffs, other = case
     base = decide(DiagonalForm(n, coeffs), p, budget=10_000)
     moved = decide(DiagonalForm(n, other), p, budget=10_000)

@@ -36,6 +36,10 @@ def test_invalid_forms_rejected():
         DiagonalForm(1, (1, 2))
     with pytest.raises(ValueError):
         DiagonalForm(3, ())
+    # Non-integers are rejected, not truncated (1.5 used to become 1).
+    for n, coeffs in [(3, (1.5, 1)), (3, ("2", 1)), (3.0, (1, 1))]:
+        with pytest.raises(TypeError):
+            DiagonalForm(n, coeffs)
 
 
 # ---------------------------------------------------------------------------
