@@ -24,7 +24,8 @@ Rules, tried in this fixed order, earliest conclusive hit wins:
       unit-part form; when that form has no nonzero root mod p, every value
       valuation of F lies in one class mod n; NotDense.
   R5  subform closure: the quotient set of a subform is contained in that
-      of the full form, so any Dense binary subform decides Dense.
+      of the full form, so any Dense binary subform decides Dense.  A
+      subform whose decision exceeds the budget is skipped, not fatal.
   R6  otherwise Inconclusive.  The engine never runs the brute-force
       oracle; `qdense oracle --K 1 --check` gathers coverage evidence for an
       undecided form.
@@ -433,7 +434,18 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
     if n >= 3 and form.r >= 3:
         for i in range(form.r):
             for j in range(i + 1, form.r):
-                sub = decide_binary(form.subform((i, j)), p, budget)
+                try:
+                    sub = decide_binary(form.subform((i, j)), p, budget)
+                except BudgetExceeded:
+                    trace.append(
+                        RuleApplication(
+                            "R5",
+                            "binary subform skipped: its decision exceeds "
+                            "the budget",
+                            {"indices": [i, j]},
+                        )
+                    )
+                    continue
                 if sub.status == DENSE:
                     trace.append(
                         RuleApplication(

@@ -57,7 +57,9 @@ class DiagonalForm:
             raise DimensionMismatch(
                 f"form has {self.r} variables, point has {len(point)}"
             )
-        return sum(a * int(x) ** self.n for a, x in zip(self.coeffs, point))
+        return sum(
+            a * operator.index(x) ** self.n for a, x in zip(self.coeffs, point)
+        )
 
     def subform(self, indices) -> "DiagonalForm":
         return DiagonalForm(self.n, tuple(self.coeffs[i] for i in indices))

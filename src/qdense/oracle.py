@@ -54,13 +54,36 @@ class ValueClasses:
 
 @dataclass(frozen=True)
 class QuotientClassMap:
-    """Quotient classes (v1 - v2 in [-V, V], u1/u2 mod p^K) with witness pairs."""
+    """Quotient classes (v1 - v2 in [-V, V], u1/u2 mod p^K) hit by the
+    observed values.
 
-    p: int
-    K: int
+    `hits` is the set of (v, u) keys; `witness(key)` finds the pair of
+    points realizing a key on demand.
+    """
+
+    values: ValueClasses = field(repr=False)
     V: int
-    B: int
-    hits: dict  # (v, u) -> (numerator point, denominator point)
+    hits: frozenset  # (v, u) keys
+
+    def witness(self, key) -> tuple:
+        """(numerator point, denominator point) for a hit key.
+
+        The pair is the first in sorted (numerator class, denominator
+        class) order: for a fixed numerator class (v1, u1) the denominator
+        class (v1 - v, u1 / u) is unique, so walking the sorted numerator
+        classes finds it.
+        """
+        if key not in self.hits:
+            raise KeyError(key)
+        v, u = key
+        classes = self.values.classes
+        pK = self.values.p**self.values.K
+        u_inv = inverse_mod(u, pK)
+        for v1, u1 in sorted(classes):
+            partner = (v1 - v, u1 * u_inv % pK)
+            if partner in classes:
+                return classes[(v1, u1)], classes[partner]
+        raise AssertionError(f"hit {key} has no witness pair")
 
 
 @dataclass(frozen=True)
@@ -109,9 +132,9 @@ class CoverageReport:
         out = io.StringIO()
         writer = csv.writer(out)
         writer.writerow(["valuation"] + units)
-        hit = {(v, u) for (v, u) in self.quotients.hits}
+        hits = self.quotients.hits
         for v in range(-self.V, self.V + 1):
-            writer.writerow([v] + [1 if (v, u) in hit else 0 for u in units])
+            writer.writerow([v] + [1 if (v, u) in hits else 0 for u in units])
         return out.getvalue()
 
 
@@ -125,16 +148,15 @@ class CheckResult:
         return self.consistent
 
 
-def _box_points(B: int, r: int):
-    return itertools.product(range(-B, B + 1), repeat=r)
-
-
 def enumerate_values(
     form: DiagonalForm, p, B: int, K: int, budget: int = DEFAULT_BUDGET
 ) -> ValueClasses:
     """Classify F(x) for every x in [-B, B]^r with F(x) != 0.
 
     Witnesses are the lexicographically least point realizing each class.
+    For even n only the points with no positive coordinate are visited:
+    every class is closed under flipping the sign of a coordinate, so its
+    least point has none.
     """
     p = as_prime(p).p
     if (2 * B + 1) ** form.r > budget:
@@ -142,42 +164,54 @@ def enumerate_values(
             f"({2*B+1})^{form.r} box points exceed budget {budget}"
         )
     pK = p**K
-    # Precomputed per-coordinate monomials make evaluation a plain sum.
-    monomials = [
-        {x: a * x**form.n for x in range(-B, B + 1)} for a in form.coeffs
-    ]
+    n = form.n
+    xs = range(-B, 1 if n % 2 == 0 else B + 1)
+    *head_coeffs, last = form.coeffs
+    # Each point is a prefix sum over the leading coordinates plus one
+    # precomputed monomial of the last coordinate.
+    head_monomials = [[a * x**n for x in xs] for a in head_coeffs]
+    last_monomials = [(x, last * x**n) for x in xs]
     classes = {}
-    for point in _box_points(B, form.r):
-        value = sum(m[x] for m, x in zip(monomials, point))
-        if value == 0:
-            continue
-        # Inline, not split_power: a call per box point slows this hot loop.
-        v = 0
-        while value % p == 0:
-            value //= p
-            v += 1
-        key = (v, value % pK)
-        if key not in classes:
-            classes[key] = point
+    for head, terms in zip(
+        itertools.product(xs, repeat=len(head_coeffs)),
+        itertools.product(*head_monomials),
+    ):
+        prefix = sum(terms)
+        for x, monomial in last_monomials:
+            value = prefix + monomial
+            if value == 0:
+                continue
+            # Inline, not split_power: a call per box point slows this hot loop.
+            v = 0
+            while value % p == 0:
+                value //= p
+                v += 1
+            key = (v, value % pK)
+            if key not in classes:
+                classes[key] = head + (x,)
     return ValueClasses(form=form, p=p, K=K, B=B, classes=classes)
 
 
 def _quotient_map(values: ValueClasses, V: int) -> QuotientClassMap:
-    p, K = values.p, values.K
-    pK = p**K
-    inverses = {}
-    hits = {}
-    for (v1, u1), w1 in sorted(values.classes.items()):
-        for (v2, u2), w2 in sorted(values.classes.items()):
+    pK = values.p**values.K
+    units_at = {}  # valuation level -> units observed there
+    for v, u in values.classes:
+        units_at.setdefault(v, []).append(u)
+    inverse = {u: inverse_mod(u, pK) for u in {u for _, u in values.classes}}
+    inverses_at = {v: [inverse[u] for u in us] for v, us in units_at.items()}
+    all_units = pK - pK // values.p
+    per_level = {}
+    for v1, units in units_at.items():
+        for v2, inverses in inverses_at.items():
             v = v1 - v2
             if abs(v) > V:
                 continue
-            if u2 not in inverses:
-                inverses[u2] = inverse_mod(u2, pK)
-            key = (v, u1 * inverses[u2] % pK)
-            if key not in hits:
-                hits[key] = (w1, w2)
-    return QuotientClassMap(p=p, K=K, V=V, B=values.B, hits=hits)
+            level = per_level.setdefault(v, set())
+            if len(level) == all_units:
+                continue
+            level |= {u * w % pK for u in units for w in inverses}
+    hits = frozenset((v, u) for v, level in per_level.items() for u in level)
+    return QuotientClassMap(values=values, V=V, hits=hits)
 
 
 def quotient_coverage(
@@ -239,13 +273,14 @@ def check_certificate(certificate, report: CoverageReport) -> CheckResult:
         if not bad:
             return CheckResult(True, detail="no forbidden quotient valuation observed")
         residue = min(bad)
-        for (v, _), pair in sorted(report.quotients.hits.items()):
-            if v % n == residue:
-                return CheckResult(
-                    False,
-                    witness=pair,
-                    detail=f"quotient valuation {v} = {residue} mod {n} is forbidden",
-                )
+        in_window = [k for k in report.quotients.hits if k[0] % n == residue]
+        if in_window:
+            key = min(in_window)
+            return CheckResult(
+                False,
+                witness=report.quotients.witness(key),
+                detail=f"quotient valuation {key[0]} = {residue} mod {n} is forbidden",
+            )
         return CheckResult(
             False,
             detail=f"forbidden valuation residue {residue} observed outside window",
@@ -258,14 +293,17 @@ def check_certificate(certificate, report: CoverageReport) -> CheckResult:
             )
         pe = report.p**e
         target = certificate.unit_class % pe
-        for (v, u), pair in sorted(report.quotients.hits.items()):
-            if v == 0 and u % pe == target:
-                return CheckResult(
-                    False,
-                    witness=pair,
-                    detail=f"valuation-0 quotient with unit {u} = "
-                    f"{target} mod {report.p}^{e} observed",
-                )
+        matching = [
+            k for k in report.quotients.hits if k[0] == 0 and k[1] % pe == target
+        ]
+        if matching:
+            key = min(matching)
+            return CheckResult(
+                False,
+                witness=report.quotients.witness(key),
+                detail=f"valuation-0 quotient with unit {key[1]} = "
+                f"{target} mod {report.p}^{e} observed",
+            )
         return CheckResult(
             True, detail=f"no valuation-0 quotient hits {target} mod {report.p}^{e}"
         )

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -254,6 +255,23 @@ def test_decide_permutation_invariance():
         rng.shuffle(shuffled)
         other = decide(DiagonalForm(n, tuple(shuffled)), p)
         assert other.status == base.status
+
+
+def test_r5_skips_over_budget_subform_in_every_order():
+    # At n = 3^14, p = 3 the binary subform (1, 2) exceeds the budget while
+    # (1, 1) decides Dense, so the verdict must not depend on which pair
+    # R5 reaches first.
+    n = 3**14
+    with pytest.raises(BudgetExceeded):
+        decide_binary(DiagonalForm(n, (1, 2)), 3)
+    for coeffs in sorted(set(itertools.permutations((1, 2, 1)))):
+        verdict = decide(DiagonalForm(n, coeffs), 3)
+        assert verdict.status == DENSE
+        assert verdict.deciding_rule == "R5"
+        for entry in verdict.trace:
+            if "skipped" in entry.statement:
+                assert sorted(coeffs[i] for i in entry.params["indices"]) == [1, 2]
+        assert verdict_from_dict(verdict_to_dict(verdict)) == verdict
 
 
 def test_decide_scaling_invariance():

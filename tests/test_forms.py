@@ -42,6 +42,15 @@ def test_invalid_forms_rejected():
             DiagonalForm(n, coeffs)
 
 
+def test_evaluate_rejects_non_integer_points():
+    form = DiagonalForm(3, (1, 1))
+    assert form.evaluate((2, -1)) == 7
+    # 1.5 used to become 1 and "2" used to become 2.
+    for point in [(1.5, 0), ("2", 0), (0, 2.0)]:
+        with pytest.raises(TypeError):
+            form.evaluate(point)
+
+
 # ---------------------------------------------------------------------------
 # binary normalization
 # ---------------------------------------------------------------------------

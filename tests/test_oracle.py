@@ -1,17 +1,21 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdense.denseness import ResidueGap, ValuationGap, decide
 from qdense.errors import BudgetExceeded, ParameterMismatch
 from qdense.forms import DiagonalForm
 from qdense.oracle import (
+    _quotient_map,
     check_certificate,
     coverage_trend,
     enumerate_values,
     quotient_coverage,
 )
-from qdense.padic import TruncatedPAdic, inverse_mod
+from qdense.padic import TruncatedPAdic, inverse_mod, split_power
 
 # ---------------------------------------------------------------------------
 # value enumeration
@@ -60,6 +64,61 @@ def test_anisotropic_values_have_valuations_divisible_by_n():
     form = DiagonalForm(2, (1, 1))
     vals = enumerate_values(form, 3, B=20, K=1)
     assert all(v % 2 == 0 for v in vals.valuations)
+
+
+# ---------------------------------------------------------------------------
+# reference kernel: every box point, every class pair, witnesses stored
+# ---------------------------------------------------------------------------
+
+
+def _reference_classes(form, p, B, K):
+    classes = {}
+    for point in itertools.product(range(-B, B + 1), repeat=form.r):
+        value = form.evaluate(point)
+        if value:
+            v, unit = split_power(value, p)
+            classes.setdefault((v, unit % p**K), point)
+    return classes
+
+
+def _reference_hits(classes, p, K, V):
+    pK = p**K
+    hits = {}
+    for (v1, u1), w1 in sorted(classes.items()):
+        for (v2, u2), w2 in sorted(classes.items()):
+            if abs(v1 - v2) <= V:
+                key = (v1 - v2, u1 * inverse_mod(u2, pK) % pK)
+                hits.setdefault(key, (w1, w2))
+    return hits
+
+
+@st.composite
+def _oracle_case(draw):
+    r = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 8))
+    coeffs = tuple(
+        draw(st.integers(1, 30)) * draw(st.sampled_from([-1, 1])) for _ in range(r)
+    )
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    B = draw(st.integers(0, (6, 4, 2)[r - 1]))
+    K = draw(st.integers(1, 3))
+    V = draw(st.integers(0, n))
+    return DiagonalForm(n, coeffs), p, B, K, V
+
+
+@settings(max_examples=200, deadline=None)
+@given(_oracle_case())
+def test_kernel_matches_reference(case):
+    form, p, B, K, V = case
+    values = enumerate_values(form, p, B, K)
+    classes = _reference_classes(form, p, B, K)
+    assert values.classes == classes
+    assert list(values.classes) == list(classes)  # same discovery order
+    quotients = _quotient_map(values, V)
+    hits = _reference_hits(classes, p, K, V)
+    assert quotients.hits == set(hits)
+    for key in quotients.hits:
+        assert quotients.witness(key) == hits[key]
 
 
 # ---------------------------------------------------------------------------
