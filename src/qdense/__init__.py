@@ -23,7 +23,6 @@ from .denseness import (
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
-    DivisionByZero,
     NegativeValuation,
     NoRoot,
     NotAUnit,
@@ -54,12 +53,9 @@ from .oracle import (
     quotient_coverage,
 )
 from .padic import (
-    INFINITY,
     PrimeModulus,
-    TruncatedPAdic,
     hensel_lift_root,
     inverse_mod,
-    padic_norm,
     valuation,
 )
 from .residues import (

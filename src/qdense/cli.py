@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import os
@@ -133,13 +134,13 @@ def _survey_rows(args):
             for lineno, line in enumerate(handle, 1):
                 if not line.strip():
                     continue
-                query = json.loads(line)
                 try:
+                    query = json.loads(line)
                     n, coeffs, p = query["n"], query["coeffs"], query["p"]
                     ok = type(coeffs) is list and all(
                         type(x) is int for x in (n, p, *coeffs)
                     )
-                except (KeyError, TypeError):
+                except (json.JSONDecodeError, KeyError, TypeError):
                     ok = False
                 if not ok:
                     raise ValueError(
@@ -267,7 +268,9 @@ def _add_form_args(sub):
     sub.add_argument("--p", type=int, required=True, help="prime")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The qdense parser, built once per process: parse_args keeps no state."""
     parser = _Parser(prog="qdense", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
@@ -290,8 +293,9 @@ def build_parser() -> _Parser:
         action="store_true",
         help="also run the engine and validate its certificate",
     )
-    p_oracle.add_argument("--json", action="store_true")
-    p_oracle.add_argument("--csv", action="store_true")
+    oracle_format = p_oracle.add_mutually_exclusive_group()
+    oracle_format.add_argument("--json", action="store_true")
+    oracle_format.add_argument("--csv", action="store_true")
     p_oracle.add_argument("--budget", type=int, default=None)
     p_oracle.set_defaults(func=cmd_oracle)
 
@@ -310,7 +314,7 @@ def build_parser() -> _Parser:
         metavar=("LO", "HI"),
         default=None,
     )
-    p_survey.add_argument("--vars", type=int, default=2)
+    p_survey.add_argument("--vars", type=_int_at_least(1), default=2)
     p_survey.add_argument("--json", action="store_true")
     p_survey.add_argument("--budget", type=int, default=None)
     p_survey.set_defaults(func=cmd_survey)

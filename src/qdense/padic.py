@@ -1,8 +1,8 @@
 """Exact p-adic building blocks.
 
-Valuations and norms of rationals, modular arithmetic helpers, truncated
-p-adic numbers of the shape p^v * (u + O(p^K)), and Newton lifting of
-simple polynomial roots to prime-power moduli.
+Valuations and unit residues of nonzero rationals, modular arithmetic
+helpers, and Newton lifting of simple polynomial roots to prime-power
+moduli.
 
 Everything here is a pure function on immutable values, so all operations
 are safe to call concurrently.  Rationals are plain ``fractions.Fraction``
@@ -12,18 +12,16 @@ exactly the invariant a dedicated rational type would enforce).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DivisionByZero, NotInvertible, PreconditionFailed
+from .errors import NotInvertible, PreconditionFailed
 
 __all__ = [
-    "INFINITY",
     "PrimeModulus",
-    "TruncatedPAdic",
     "valuation",
-    "padic_norm",
     "inverse_mod",
     "hensel_lift_root",
 ]
@@ -55,49 +53,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class _Infinity:
-    """The valuation of zero: larger than every integer, absorbing under +."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Infinity"
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("qdense-infinity")
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        raise ArithmeticError("Infinity has no negative")
-
-
-INFINITY = _Infinity()
-
-
 @dataclass(frozen=True)
 class PrimeModulus:
     """A certified prime p.  Construction runs a deterministic primality test."""
@@ -111,9 +66,6 @@ class PrimeModulus:
             raise ValueError("primes are restricted to machine-word size")
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
-
-    def __int__(self):
-        return self.p
 
     def __repr__(self):
         return f"PrimeModulus({self.p})"
@@ -144,8 +96,9 @@ def split_power(x: int, p: int):
     return v, x
 
 
-def valuation(x, p):
-    """Exponent of p in the rational x; INFINITY iff x == 0.
+def valuation(x, p) -> int:
+    """Exponent of p in the nonzero rational x.  Raises ValueError on x == 0,
+    whose valuation is infinite.
 
     >>> valuation(50, 5)
     2
@@ -154,17 +107,7 @@ def valuation(x, p):
     """
     p = as_prime(p).p
     x = Fraction(x)
-    if x == 0:
-        return INFINITY
     return split_power(x.numerator, p)[0] - split_power(x.denominator, p)[0]
-
-
-def padic_norm(x, p) -> Fraction:
-    """p-adic absolute value p^(-valuation(x, p)); zero maps to 0."""
-    v = valuation(x, p)
-    if v is INFINITY:
-        return Fraction(0)
-    return Fraction(int(p)) ** (-v)
 
 
 def inverse_mod(a: int, modulus: int) -> int:
@@ -183,89 +126,13 @@ def inverse_mod(a: int, modulus: int) -> int:
 
 
 def unit_residue(x, p, K: int) -> int:
-    """Residue mod p^K of the unit part x / p^valuation(x), for rational x != 0."""
+    """Residue mod p^K of the unit part x / p^valuation(x); ValueError on x == 0."""
     p = as_prime(p).p
     x = Fraction(x)
-    if x == 0:
-        raise ZeroDivisionError("zero has no unit part")
     v = valuation(x, p)
     u = x / Fraction(p) ** v
     pK = p**K
     return u.numerator * inverse_mod(u.denominator, pK) % pK
-
-
-@dataclass(frozen=True)
-class TruncatedPAdic:
-    """A p-adic number known to finite precision: p^v * (u + O(p^K)).
-
-    ``u`` is a unit residue in [1, p^K - 1]; the distinguished zero carries
-    valuation INFINITY and u == 0.
-    """
-
-    p: PrimeModulus
-    v: object  # int, or INFINITY for the zero value
-    u: int
-    K: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", as_prime(self.p))
-        if self.K < 1:
-            raise ValueError("precision K must be >= 1")
-        if self.v is INFINITY:
-            if self.u != 0:
-                raise ValueError("the zero value has unit part 0")
-            return
-        pK = self.p.p**self.K
-        if not 0 < self.u < pK or self.u % self.p.p == 0:
-            raise ValueError("unit part must lie in [1, p^K-1] and be coprime to p")
-
-    @classmethod
-    def zero(cls, p, K: int = 1) -> "TruncatedPAdic":
-        return cls(as_prime(p), INFINITY, 0, K)
-
-    @classmethod
-    def from_rational(cls, x, p, K: int) -> "TruncatedPAdic":
-        p = as_prime(p)
-        x = Fraction(x)
-        if x == 0:
-            return cls.zero(p, K)
-        return cls(p, valuation(x, p), unit_residue(x, p, K), K)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.v is INFINITY
-
-    def _combine(self, other: "TruncatedPAdic", divide: bool) -> "TruncatedPAdic":
-        if not isinstance(other, TruncatedPAdic):
-            return NotImplemented
-        if self.p.p != other.p.p:
-            raise ValueError("operands live over different primes")
-        K = min(self.K, other.K)
-        if divide and other.is_zero:
-            raise DivisionByZero("division by the zero p-adic value")
-        if self.is_zero:
-            return TruncatedPAdic.zero(self.p, K)
-        pK = self.p.p**K
-        if divide:
-            v = self.v - other.v
-            u = self.u * inverse_mod(other.u, pK) % pK
-        else:
-            if other.is_zero:
-                return TruncatedPAdic.zero(self.p, K)
-            v = self.v + other.v
-            u = self.u * other.u % pK
-        return TruncatedPAdic(self.p, v, u, K)
-
-    def __mul__(self, other):
-        return self._combine(other, divide=False)
-
-    def __truediv__(self, other):
-        return self._combine(other, divide=True)
-
-    def __repr__(self):
-        if self.is_zero:
-            return f"TruncatedPAdic.zero(p={self.p.p}, K={self.K})"
-        return f"{self.p.p}^{self.v} * ({self.u} + O({self.p.p}^{self.K}))"
 
 
 def poly_eval(coeffs, x: int, modulus: int | None = None) -> int:
@@ -296,14 +163,15 @@ def hensel_lift_root(poly, p, x0: int, K: int) -> int:
     p = as_prime(p).p
     if K < 1:
         raise ValueError("precision K must be >= 1")
-    coeffs = [int(c) for c in poly]
+    coeffs = [operator.index(c) for c in poly]
     deriv = poly_derivative(coeffs)
-    s = valuation(poly_eval(coeffs, x0), p)
-    t = valuation(poly_eval(deriv, x0), p)
-    if t is INFINITY or (s is not INFINITY and s <= 2 * t):
+    f0, d0 = poly_eval(coeffs, x0), poly_eval(deriv, x0)
+    # An exact root f(x0) == 0 meets the inequality; f'(x0) == 0 never does.
+    if d0 == 0 or (f0 != 0 and valuation(f0, p) <= 2 * valuation(d0, p)):
         raise PreconditionFailed(
-            f"need v(f(x0)) > 2*v(f'(x0)); got v(f)={s}, v(f')={t}"
+            f"need v(f(x0)) > 2*v(f'(x0)); got f(x0)={f0}, f'(x0)={d0}"
         )
+    t = valuation(d0, p)
     # Work modulus: enough headroom that the final reduction mod p^K is exact.
     work = p ** (K + 2 * t + 1)
     pt = p**t
@@ -312,7 +180,7 @@ def hensel_lift_root(poly, p, x0: int, K: int) -> int:
     # mod p^K, i.e. v(f(x)) >= K + t.
     for _ in range(K.bit_length() + K + 2):
         fx = poly_eval(coeffs, x, work)
-        if valuation(fx, p) >= K + t:
+        if fx == 0 or valuation(fx, p) >= K + t:
             break
         dx = poly_eval(deriv, x, work)
         # f/f' = (f/p^t) * (f'/p^t)^{-1}: the unit part of f' is inverted

@@ -53,10 +53,6 @@ class StabilizationExponent:
     k: int  # v_p(n)
     M: int  # k + v_p(2^[2|n]) + 1
 
-    @property
-    def modulus(self) -> int:
-        return self.p**self.M
-
 
 def stabilization_exponent(n: int, p) -> StabilizationExponent:
     """Compute k = v_p(n) and M = k + v_p(2^[2|n]) + 1.
@@ -85,9 +81,6 @@ class ResidueSet:
 
     def sorted_members(self) -> list:
         return sorted(self.members)
-
-    def __contains__(self, u: int) -> bool:
-        return u % self.modulus in self.members
 
 
 @lru_cache(maxsize=4096)

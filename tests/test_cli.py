@@ -66,6 +66,11 @@ def test_decide_usage_error_exit_64(capsys):
         (["survey", "--input", str(HERE / "no-such-survey-input.jsonl")], 64),
         (["survey", "--input", str(HERE)], 64),
         (["decide", "--n", "9", "--coeffs", "1,2", "--p", "3", "--budget", "26"], 65),
+        (["survey", "--n-list", "3", "--p-list", "7", "--coeff-range", "1", "2",
+          "--vars", "0"], 64),
+        (["survey", "--n-list", "3", "--p-list", "7", "--coeff-range", "1", "2",
+          "--vars", "-1"], 64),
+        (["oracle", "--n", "3", "--coeffs", "1,1", "--p", "7", "--json", "--csv"], 64),
     ],
 )
 def test_bad_input_fails_closed(argv, code, capsys):
@@ -212,13 +217,14 @@ def test_survey_input_file(tmp_path, capsys):
         "[3, [1, 1], 7]",
         '{"n": "3", "coeffs": [1, 1], "p": 7}',
         '{"n": 3, "coeffs": [1.5, 1], "p": 7}',
+        "n=3 coeffs=1,1 p=7",
     ],
 )
 def test_survey_input_wrong_shape_exit_64(tmp_path, capsys, line):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"n": 3, "coeffs": [1, 1], "p": 7}\n' + line + "\n")
     assert main(["survey", "--input", str(path)]) == 64
-    assert "line 2" in capsys.readouterr().err
+    assert f"{path} line 2: expected" in capsys.readouterr().err
 
 
 def test_survey_empty_input(tmp_path, capsys):

@@ -1,15 +1,22 @@
 """Import hygiene of the package: every import sits at module level,
 neither the oracle nor the certificate module imports the rule engine, and
 the rule engine imports nothing from the oracle, so the oracle is evidence
-independent of the engine whose certificates it checks."""
+independent of the engine whose certificates it checks.  Every exported
+name is bound, and every docstring example runs."""
 
 import ast
+import doctest
+import importlib
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qdense"
 MODULES = sorted(SRC.glob("*.py"))
+
+
+def _dotted(path):
+    return "qdense" if path.stem == "__init__" else f"qdense.{path.stem}"
 
 
 def _imported_modules(node):
@@ -62,3 +69,29 @@ def test_no_engine_import_from(name):
 def test_no_oracle_import_from_engine():
     bad = [t for t in _imports_of("denseness.py") if t.split(".")[-1] == "oracle"]
     assert not bad, f"the rule engine imports the oracle: {bad}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_docstring_examples_run(path):
+    result = doctest.testmod(importlib.import_module(_dotted(path)))
+    assert result.failed == 0, f"{result.failed} docstring example(s) failed"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_all_names_are_bound(path):
+    module = importlib.import_module(_dotted(path))
+    unbound = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not unbound, f"{path.name} exports unbound names: {unbound}"
+
+
+def test_package_reexports_match_all():
+    """qdense re-exports exactly the __all__ of each module that declares
+    one, so together with the test above no deleted name stays exported."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports, "the walk found no imports at all"
+    for node in imports:
+        module = importlib.import_module(f"qdense.{node.module}")
+        if hasattr(module, "__all__"):
+            names = [alias.name for alias in node.names]
+            assert sorted(names) == sorted(module.__all__), node.module

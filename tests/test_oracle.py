@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from qdense.oracle import (
     enumerate_values,
     quotient_coverage,
 )
-from qdense.padic import TruncatedPAdic, inverse_mod, split_power
+from qdense.padic import inverse_mod, split_power, unit_residue, valuation
 
 # ---------------------------------------------------------------------------
 # value enumeration
@@ -145,6 +146,9 @@ def test_threshold_form_misses_middle_class():
 
 
 def test_quotient_class_arithmetic_matches_truncated_padics():
+    # A class (v, u) stands for the rationals p^v * (u + p^K * t); the
+    # quotient of two representatives, taken exactly, lands in the class
+    # the kernel's formula names.
     rng = random.Random(14)
     form = DiagonalForm(3, (1, 2))
     vals = enumerate_values(form, 7, B=8, K=2)
@@ -152,8 +156,11 @@ def test_quotient_class_arithmetic_matches_truncated_padics():
     for _ in range(10_000):
         v1, u1 = items[rng.randrange(len(items))]
         v2, u2 = items[rng.randrange(len(items))]
-        t = TruncatedPAdic(7, v1, u1, 2) / TruncatedPAdic(7, v2, u2, 2)
-        assert (t.v, t.u) == (v1 - v2, u1 * inverse_mod(u2, 49) % 49)
+        x = Fraction(7) ** v1 * (u1 + 49 * rng.randint(-50, 50))
+        y = Fraction(7) ** v2 * (u2 + 49 * rng.randint(-50, 50))
+        q = x / y
+        assert valuation(q, 7) == v1 - v2
+        assert unit_residue(q, 7, 2) == u1 * inverse_mod(u2, 49) % 49
 
 
 def test_coverage_trend_monotone():

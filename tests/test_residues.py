@@ -160,8 +160,8 @@ def stabilization_check(u: int, pk: int, p: int, depth: int) -> bool:
     assert m == 1 and k >= 1, f"{pk} is not a positive power of {p}"
     e0 = k + (1 if p == 2 else 0) + 1
     e1 = e0 + depth
-    low = nth_power_residues(pk, p, e0)
-    high = nth_power_residues(pk, p, e1)
+    low = nth_power_residues(pk, p, e0).members
+    high = nth_power_residues(pk, p, e1).members
     return (u % p**e0 in low) == (u % p**e1 in high)
 
 
