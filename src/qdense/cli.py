@@ -57,13 +57,26 @@ def _int_at_least(lo: int):
     return parse
 
 
+def _int_list(text: str) -> list:
+    """argparse type: comma-separated integers such as 3,5,7."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+
+
 def _form_from_args(args) -> DiagonalForm:
     return DiagonalForm(args.n, tuple(int(a) for a in args.coeffs.split(",")))
 
 
 def _budget(args) -> int:
     env = os.environ.get("QDENSE_BUDGET")
-    budget = args.budget if args.budget is not None else int(env or DEFAULT_BUDGET)
+    try:
+        budget = args.budget if args.budget is not None else int(env or DEFAULT_BUDGET)
+    except ValueError:
+        raise ValueError(f"QDENSE_BUDGET must be an integer, got {env!r}") from None
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     return budget
@@ -301,12 +314,8 @@ def build_parser() -> _Parser:
 
     p_survey = subs.add_parser("survey", help="verdict table for many forms")
     p_survey.add_argument("--input", help="JSON-lines file of {n, coeffs, p}")
-    p_survey.add_argument(
-        "--n-list", type=lambda s: [int(x) for x in s.split(",")], default=None
-    )
-    p_survey.add_argument(
-        "--p-list", type=lambda s: [int(x) for x in s.split(",")], default=None
-    )
+    p_survey.add_argument("--n-list", type=_int_list, default=None)
+    p_survey.add_argument("--p-list", type=_int_list, default=None)
     p_survey.add_argument(
         "--coeff-range",
         nargs=2,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from .certificates import ResidueGap, ValuationGap
 from .errors import DEFAULT_BUDGET, BudgetExceeded, ParameterMismatch
 from .forms import DiagonalForm
-from .padic import as_prime, inverse_mod
+from .padic import as_prime, inverse_mod, split_power
 
 __all__ = [
     "ValueClasses",
@@ -38,18 +38,39 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ValueClasses:
-    """Observed (valuation, unit mod p^K) classes of F over a box, with the
-    lexicographically least witness point for each class."""
+    """Observed (valuation, unit mod p^K) classes of F over a box.
+
+    `classes` is the set of (v, u) keys; `witness(key)` finds the
+    lexicographically least box point realizing a key on demand.
+    """
 
     form: DiagonalForm
     p: int
     K: int
     B: int
-    classes: dict  # (v, u) -> witness point tuple
+    classes: frozenset  # (v, u) keys
 
     @property
     def valuations(self) -> set:
         return {v for v, _ in self.classes}
+
+    def witness(self, key) -> tuple:
+        """The lexicographically least point of [-B, B]^r realizing a key.
+
+        For even n the least point has no positive coordinate (see
+        `enumerate_values`), so only those points are scanned.
+        """
+        if key not in self.classes:
+            raise KeyError(key)
+        pK = self.p**self.K
+        xs = range(-self.B, self.B + 1 if self.form.n % 2 else 1)
+        for point in itertools.product(xs, repeat=self.form.r):
+            value = self.form.evaluate(point)
+            if value:
+                v, unit = split_power(value, self.p)
+                if (v, unit % pK) == key:
+                    return point
+        raise AssertionError(f"class {key} has no witness point")
 
 
 @dataclass(frozen=True)
@@ -76,13 +97,13 @@ class QuotientClassMap:
         if key not in self.hits:
             raise KeyError(key)
         v, u = key
-        classes = self.values.classes
-        pK = self.values.p**self.values.K
+        values = self.values
+        pK = values.p**values.K
         u_inv = inverse_mod(u, pK)
-        for v1, u1 in sorted(classes):
+        for v1, u1 in sorted(values.classes):
             partner = (v1 - v, u1 * u_inv % pK)
-            if partner in classes:
-                return classes[(v1, u1)], classes[partner]
+            if partner in values.classes:
+                return values.witness((v1, u1)), values.witness(partner)
         raise AssertionError(f"hit {key} has no witness pair")
 
 
@@ -153,10 +174,11 @@ def enumerate_values(
 ) -> ValueClasses:
     """Classify F(x) for every x in [-B, B]^r with F(x) != 0.
 
-    Witnesses are the lexicographically least point realizing each class.
-    For even n only the points with no positive coordinate are visited:
-    every class is closed under flipping the sign of a coordinate, so its
-    least point has none.
+    Only half the box is visited.  For even n, F is unchanged by flipping
+    the sign of a coordinate, so the points with no positive coordinate
+    reach every class.  For odd n, F(-x) = -F(x), so the points whose
+    first nonzero coordinate is negative are visited and each class
+    (v, u) found there also gives (v, -u mod p^K).
     """
     p = as_prime(p).p
     if (2 * B + 1) ** form.r > budget:
@@ -165,19 +187,27 @@ def enumerate_values(
         )
     pK = p**K
     n = form.n
-    xs = range(-B, 1 if n % 2 == 0 else B + 1)
+    odd = n % 2
+    xs = range(-B, B + 1 if odd else 1)
     *head_coeffs, last = form.coeffs
     # Each point is a prefix sum over the leading coordinates plus one
     # precomputed monomial of the last coordinate.
-    head_monomials = [[a * x**n for x in xs] for a in head_coeffs]
-    last_monomials = [(x, last * x**n) for x in xs]
-    classes = {}
-    for head, terms in zip(
-        itertools.product(xs, repeat=len(head_coeffs)),
-        itertools.product(*head_monomials),
-    ):
-        prefix = sum(terms)
-        for x, monomial in last_monomials:
+    heads = itertools.product(*[[a * x**n for x in xs] for a in head_coeffs])
+    tail = [last * x**n for x in xs]
+    if odd:
+        # In lexicographic order the heads before the zero head are those
+        # whose first nonzero coordinate is negative; the zero head then
+        # takes x < 0 only.
+        half = ((2 * B + 1) ** len(head_coeffs) - 1) // 2
+        rows = itertools.chain(
+            ((sum(terms), tail) for terms in itertools.islice(heads, half)),
+            [(0, tail[:B])],
+        )
+    else:
+        rows = ((sum(terms), tail) for terms in heads)
+    classes = set()
+    for prefix, monomials in rows:
+        for monomial in monomials:
             value = prefix + monomial
             if value == 0:
                 continue
@@ -186,31 +216,116 @@ def enumerate_values(
             while value % p == 0:
                 value //= p
                 v += 1
-            key = (v, value % pK)
-            if key not in classes:
-                classes[key] = head + (x,)
-    return ValueClasses(form=form, p=p, K=K, B=B, classes=classes)
+            classes.add((v, value % pK))
+    if odd:
+        classes |= {(v, -u % pK) for v, u in classes}
+    return ValueClasses(form=form, p=p, K=K, B=B, classes=frozenset(classes))
+
+
+def _primitive_root(p: int, K: int) -> int:
+    """A generator of the cyclic group (Z/p^K)^*, for odd p or K <= 2.
+
+    g is a primitive root mod p when g^((p-1)/q) != 1 mod p for every
+    prime q dividing p - 1; then g or g + p generates mod every p^K.
+    """
+    primes, m, q = [], p - 1, 2
+    while q * q <= m:
+        if m % q == 0:
+            primes.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    if m > 1:
+        primes.append(m)
+    g = next(
+        g
+        for g in itertools.count(1)
+        if all(pow(g, (p - 1) // q, p) != 1 for q in primes)
+    )
+    if K >= 2 and pow(g, p - 1, p * p) == 1:
+        g += p
+    return g
+
+
+def _unit_coordinates(p: int, K: int):
+    """Exponent coordinates of the units mod p^K, as bit indices.
+
+    Every unit is u = t^a * g^b with a < T and b < m.  The group is cyclic
+    (T = 1, g a primitive root) except for p = 2, K >= 3, where t = -1,
+    g = 5 and T = 2.  The unit's index is b*T + a, so multiplying by a unit
+    of coordinates (a', b') shifts every index by T*b' cyclically and, if
+    a' = 1, swaps the two indices of each pair.
+
+    Returns (T, units, index): `units[i]` is the unit with index i and
+    `index[u]` the index of unit u.
+    """
+    pK = p**K
+    T, g = (2, 5) if p == 2 and K >= 3 else (1, _primitive_root(p, K))
+    units = [0] * (pK - pK // p)
+    index = [0] * pK
+    x = 1
+    for i in range(0, len(units), T):
+        units[i], index[x] = x, i
+        if T == 2:
+            units[i + 1], index[pK - x] = pK - x, i + 1
+        x = x * g % pK
+    return T, units, index
 
 
 def _quotient_map(values: ValueClasses, V: int) -> QuotientClassMap:
-    pK = values.p**values.K
-    units_at = {}  # valuation level -> units observed there
+    """The quotient classes u1/u2 of every pair of observed value classes
+    whose valuations differ by at most V.
+
+    Each valuation level's units become a bitmask over unit coordinates
+    (`_unit_coordinates`), so the units of level v1 times the inverses of
+    level v2 are a union of cyclic shifts of one bitmask, one per unit of
+    the smaller level, instead of a product of every pair.
+    """
+    T, units, index = _unit_coordinates(values.p, values.K)
+    phi = len(units)
+    full = (1 << phi) - 1
+    even_bits = full // 3  # the index a = 0 of every pair, when T = 2
+    masks, inverse_masks = {}, {}  # valuation level -> bitmask of U, of U^-1
     for v, u in values.classes:
-        units_at.setdefault(v, []).append(u)
-    inverse = {u: inverse_mod(u, pK) for u in {u for _, u in values.classes}}
-    inverses_at = {v: [inverse[u] for u in us] for v, us in units_at.items()}
-    all_units = pK - pK // values.p
+        i = index[u]
+        a = i % T
+        masks[v] = masks.get(v, 0) | 1 << i
+        # (t^a * g^b)^-1 = t^a * g^-b, as t^2 = 1.
+        inverse_masks[v] = inverse_masks.get(v, 0) | 1 << (-(i - a) % phi + a)
+
+    def times(mask, other):
+        # The product set mask * other: one shift of mask per unit of other.
+        # Doubling the mask turns a cyclic shift by s into a shift by phi - s.
+        doubled = [mask | mask << phi]
+        if T == 2:
+            swapped = (mask & even_bits) << 1 | (mask >> 1) & even_bits
+            doubled.append(swapped | swapped << phi)
+        product = 0
+        while other and product & full != full:
+            low = other & -other
+            i = low.bit_length() - 1
+            a = i % T
+            product |= doubled[a] >> (phi - i + a)
+            other ^= low
+        return product & full
+
     per_level = {}
-    for v1, units in units_at.items():
-        for v2, inverses in inverses_at.items():
+    for v1, mask in masks.items():
+        for v2, inverse_mask in inverse_masks.items():
             v = v1 - v2
-            if abs(v) > V:
+            if abs(v) > V or per_level.get(v, 0) == full:
                 continue
-            level = per_level.setdefault(v, set())
-            if len(level) == all_units:
-                continue
-            level |= {u * w % pK for u in units for w in inverses}
-    hits = frozenset((v, u) for v, level in per_level.items() for u in level)
+            if inverse_mask.bit_count() <= mask.bit_count():
+                product = times(mask, inverse_mask)
+            else:
+                product = times(inverse_mask, mask)
+            per_level[v] = per_level.get(v, 0) | product
+    hits = frozenset(
+        (v, units[i])
+        for v, mask in per_level.items()
+        for i, bit in enumerate(reversed(bin(mask)))
+        if bit == "1"
+    )
     return QuotientClassMap(values=values, V=V, hits=hits)
 
 
@@ -222,18 +337,23 @@ def quotient_coverage(
     V: int,
     budget: int = DEFAULT_BUDGET,
 ) -> CoverageReport:
-    """Enumerate, quotient, and measure per-level unit-class coverage."""
-    values = enumerate_values(form, p, B, K, budget)
-    p = values.p
-    quotients = _quotient_map(values, V)
+    """Enumerate, quotient, and measure per-level unit-class coverage.
+
+    The units mod p^K are listed too, so p^K counts against the budget.
+    """
+    p = as_prime(p).p
     pK = p**K
+    if pK > budget:
+        raise BudgetExceeded(f"enumerating units mod {p}^{K} exceeds budget {budget}")
+    values = enumerate_values(form, p, B, K, budget)
+    quotients = _quotient_map(values, V)
     units = [u for u in range(1, pK) if u % p]
     per_level = {v: set() for v in range(-V, V + 1)}
     for v, u in quotients.hits:
         per_level[v].add(u)
     coverage = {v: len(per_level[v]) / len(units) for v in per_level}
     missed = {
-        v: tuple(sorted(set(units) - per_level[v])) for v in per_level
+        v: tuple(u for u in units if u not in per_level[v]) for v in per_level
     }
     vals = values.valuations
     return CoverageReport(

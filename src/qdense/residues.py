@@ -75,10 +75,6 @@ class ResidueSet:
     M: int
     members: frozenset
 
-    @property
-    def modulus(self) -> int:
-        return self.p**self.M
-
     def sorted_members(self) -> list:
         return sorted(self.members)
 

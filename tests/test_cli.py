@@ -71,11 +71,22 @@ def test_decide_usage_error_exit_64(capsys):
         (["survey", "--n-list", "3", "--p-list", "7", "--coeff-range", "1", "2",
           "--vars", "-1"], 64),
         (["oracle", "--n", "3", "--coeffs", "1,1", "--p", "7", "--json", "--csv"], 64),
+        (["oracle", "--n", "3", "--coeffs", "1,1", "--p", "11", "--box", "1", "--K", "3",
+          "--budget", "1000"], 65),
+        (["survey", "--n-list", "3,x", "--p-list", "7", "--coeff-range", "1", "2"], 64),
     ],
 )
 def test_bad_input_fails_closed(argv, code, capsys):
     assert main(argv) == code
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error" in err
+    assert "<lambda>" not in err
+
+
+def test_survey_list_error_names_the_expected_format(capsys):
+    argv = ["survey", "--n-list", "3", "--p-list", "7,x", "--coeff-range", "1", "2"]
+    assert main(argv) == 64
+    assert "expected comma-separated integers, got '7,x'" in capsys.readouterr().err
 
 
 def test_decide_json_round_trips(capsys):
@@ -127,13 +138,17 @@ def test_budget_env_var(monkeypatch, capsys):
     code = main(
         ["oracle", "--n", "3", "--coeffs", "1,1", "--p", "7", "--box", "5"]
     )
-    assert code == 65  # (2*5+1)^2 = 121 > 10
+    assert code == 65  # 7^2 = 49 units and (2*5+1)^2 = 121 points exceed 10
     monkeypatch.setenv("QDENSE_BUDGET", "1000")
     code = main(
         ["oracle", "--n", "3", "--coeffs", "1,1", "--p", "7", "--box", "5"]
     )
     capsys.readouterr()
     assert code == 0
+    monkeypatch.setenv("QDENSE_BUDGET", "abc")
+    code = main(["decide", "--n", "3", "--coeffs", "1,1", "--p", "7"])
+    assert code == 64
+    assert "QDENSE_BUDGET must be an integer, got 'abc'" in capsys.readouterr().err
 
 
 def test_oracle_csv(capsys):

@@ -11,6 +11,7 @@ from qdense.errors import BudgetExceeded, ParameterMismatch
 from qdense.forms import DiagonalForm
 from qdense.oracle import (
     _quotient_map,
+    _unit_coordinates,
     check_certificate,
     coverage_trend,
     enumerate_values,
@@ -35,9 +36,9 @@ def test_enumerate_values_single_variable():
 
 def test_enumerate_values_skips_zero_and_respects_budget():
     vals = enumerate_values(DiagonalForm(3, (1, -1)), 5, B=3, K=1)
-    assert all(
-        vals.form.evaluate(w) != 0 for w in vals.classes.values()
-    )
+    assert all(vals.form.evaluate(vals.witness(k)) != 0 for k in vals.classes)
+    with pytest.raises(KeyError):
+        vals.witness((0, 0))
     with pytest.raises(BudgetExceeded):
         enumerate_values(DiagonalForm(3, (1, 1)), 7, B=10**8, K=1)
 
@@ -45,8 +46,8 @@ def test_enumerate_values_skips_zero_and_respects_budget():
 def test_witness_integrity():
     form = DiagonalForm(4, (3, -5))
     vals = enumerate_values(form, 3, B=6, K=2)
-    for (v, u), point in vals.classes.items():
-        value = form.evaluate(point)
+    for v, u in vals.classes:
+        value = form.evaluate(vals.witness((v, u)))
         w = 0
         while value % 3 == 0:
             value //= 3
@@ -102,7 +103,7 @@ def _oracle_case(draw):
     )
     p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
     B = draw(st.integers(0, (6, 4, 2)[r - 1]))
-    K = draw(st.integers(1, 3))
+    K = draw(st.integers(1, 4))  # at p = 2, K >= 3 the units are {+-1} x <5>
     V = draw(st.integers(0, n))
     return DiagonalForm(n, coeffs), p, B, K, V
 
@@ -113,13 +114,29 @@ def test_kernel_matches_reference(case):
     form, p, B, K, V = case
     values = enumerate_values(form, p, B, K)
     classes = _reference_classes(form, p, B, K)
-    assert values.classes == classes
-    assert list(values.classes) == list(classes)  # same discovery order
+    assert values.classes == classes.keys()
+    for key, point in classes.items():
+        assert values.witness(key) == point
     quotients = _quotient_map(values, V)
     hits = _reference_hits(classes, p, K, V)
     assert quotients.hits == set(hits)
     for key in quotients.hits:
         assert quotients.witness(key) == hits[key]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
+def test_unit_coordinates_are_a_group_isomorphism(p, K):
+    pK = p**K
+    T, units, index = _unit_coordinates(p, K)
+    assert sorted(units) == [u for u in range(1, pK) if u % p]
+    assert all(index[units[i]] == i for i in range(len(units)))
+    m = len(units) // T
+    rng = random.Random(pK)
+    for _ in range(300):
+        u, w = rng.choice(units), rng.choice(units)
+        (bu, au), (bw, aw) = divmod(index[u], T), divmod(index[w], T)
+        assert index[u * w % pK] == (bu + bw) % m * T + (au + aw) % T
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ def test_nth_power_residues_examples():
 def test_residue_set_closed_under_multiplication():
     for n, p, M in [(3, 7, 2), (4, 2, 4), (6, 3, 3), (5, 5, 2)]:
         rs = nth_power_residues(n, p, M)
-        mod = rs.modulus
+        mod = rs.p**rs.M
         for a in rs.members:
             for b in rs.members:
                 assert a * b % mod in rs.members
