@@ -18,14 +18,15 @@ Rules, tried in this fixed order, earliest conclusive hit wins:
   R3  ternary-cubic sufficiency (n = 3, p != 3): three coefficients in a
       common valuation class mod 3 reduce to a unit ternary cubic, which
       always has a non-singular zero over F_p and hence a simple p-adic
-      root; Dense.
+      root; Dense.  A zero search that exceeds the budget is skipped.
   R4  anisotropy obstruction (any degree n >= 2, all coefficient
       valuations agree mod n): scaling and x_i -> p^t x_i reduce F to its
       unit-part form; when that form has no nonzero root mod p, every value
       valuation of F lies in one class mod n; NotDense.
   R5  subform closure: the quotient set of a subform is contained in that
-      of the full form, so any Dense binary subform decides Dense.  A
-      subform whose decision exceeds the budget is skipped, not fatal.
+      of the full form, so any Dense binary subform decides Dense.  Reading
+      the valuation profile once, it tries only pairs whose valuation classes
+      agree mod n (all pairs when n = 3) and skips any over budget.
   R6  otherwise Inconclusive.  The engine never runs the brute-force
       oracle; `qdense oracle --K 1 --check` gathers coverage evidence for an
       undecided form.
@@ -36,6 +37,7 @@ NotDense certificates and their JSON form live in `certificates`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import gcd
 
 from .certificates import ResidueGap, ValuationGap
@@ -143,19 +145,6 @@ def _cancellation_offsets(m0: int, n: int, p: int, M: int, budget: int):
     return offsets
 
 
-def _remark_flag(n: int, trace: list):
-    trace.append(
-        RuleApplication(
-            "R1",
-            "boundary-family note: for the exponent pattern {0, .., t-2, t} "
-            "with t = floor(n/2), the difference-cover analysis yields "
-            "NotDense when n = 5 (the analogous pattern is dense for every "
-            "n >= 6); this engine follows the cover analysis",
-            {"n": n},
-        )
-    )
-
-
 def decide_binary(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Complete decision for binary forms a*x^n + b*y^n, n >= 3.
 
@@ -167,30 +156,28 @@ def decide_binary(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdic
     if form.n < 3:
         raise UnsupportedDegree("binary decision rules require degree n >= 3")
     p = as_prime(p)
-    n = form.n
     norm = normalize_binary(form, p)
-    la, lb = norm.units
-    d = norm.delta_class
-    exp = stabilization_exponent(n, p)
-    pM = p.p**exp.M
+    M = stabilization_exponent(form.n, p).M
+    return _decide_pair(form.n, p.p, M, norm.delta, *norm.units, budget)
+
+
+def _decide_pair(n, p, M, delta, la, lb, budget) -> Verdict:
+    """R1 from the normalize step on, for p^delta*la*x^n + lb*y^n (units la, lb)."""
+    d = delta % n
+    pM = p**M
     trace = [
         RuleApplication(
             "R1",
             "normalize: scaling the form by a constant and substituting "
             "x -> p^t x both preserve the quotient set, so only "
             "delta = v_p(a) - v_p(b) mod n and the unit cofactors matter",
-            {
-                "delta": norm.delta,
-                "delta_class": d,
-                "units": list(norm.units),
-                "M": exp.M,
-            },
+            {"delta": delta, "delta_class": d, "units": [la, lb], "M": M},
         )
     ]
 
     if d == 0:
         m0 = (-inverse_mod(la % pM, pM) * lb) % pM
-        if is_nth_power_residue(m0, n, p, exp.M):
+        if is_nth_power_residue(m0, n, p, M):
             trace.append(
                 RuleApplication(
                     "R1",
@@ -200,11 +187,11 @@ def decide_binary(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdic
                     "lifting supplies the exact root); x^n + (la^{-1}lb)y^n "
                     "then has a simple p-adic root and its values fill "
                     "every ball around every target",
-                    {"m0": m0, "M": exp.M},
+                    {"m0": m0, "M": M},
                 )
             )
             return Verdict(DENSE, tuple(trace))
-        offsets = _cancellation_offsets(m0, n, p.p, exp.M, budget)
+        offsets = _cancellation_offsets(m0, n, p, M, budget)
         covers, missing = difference_cover_check(offsets, n)
         if not covers:
             trace.append(
@@ -217,7 +204,7 @@ def decide_binary(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdic
                     "while a dense set must realize every integer valuation",
                     {
                         "m0": m0,
-                        "M": exp.M,
+                        "M": M,
                         "offsets": sorted(offsets),
                         "forbidden": missing,
                     },
@@ -226,12 +213,12 @@ def decide_binary(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdic
             return Verdict(
                 NOT_DENSE,
                 tuple(trace),
-                ValuationGap(p=p.p, n=n, forbidden=frozenset(missing)),
+                ValuationGap(p=p, n=n, forbidden=frozenset(missing)),
             )
         # Offsets cover Z/n: only possible for p = n = 3.  The depth-1
         # cancellation level has a unit Newton derivative in the free
         # parameter, so its unit classes saturate and every ball is hit.
-        if (p.p, n) != (3, 3):
+        if (p, n) != (3, 3):
             raise AssertionError("offset saturation outside p = n = 3")
         trace.append(
             RuleApplication(
@@ -241,7 +228,7 @@ def decide_binary(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdic
                 "value unit parts fill all residues at every precision "
                 "(the correction term has a unit derivative, so a Newton "
                 "parameter solves for any target digit stream)",
-                {"m0": m0, "M": exp.M, "offsets": sorted(offsets)},
+                {"m0": m0, "M": M, "offsets": sorted(offsets)},
             )
         )
         return Verdict(DENSE, tuple(trace))
@@ -260,14 +247,23 @@ def decide_binary(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdic
             )
         )
         if n == 5 and d in (2, 3):
-            _remark_flag(n, trace)
+            trace.append(
+                RuleApplication(
+                    "R1",
+                    "boundary-family note: for the exponent pattern {0, .., t-2, t} "
+                    "with t = floor(n/2), the difference-cover analysis yields "
+                    "NotDense when n = 5 (the analogous pattern is dense for every "
+                    "n >= 6); this engine follows the cover analysis",
+                    {"n": n},
+                )
+            )
         return Verdict(
             NOT_DENSE,
             tuple(trace),
-            ValuationGap(p=p.p, n=n, forbidden=frozenset(missing)),
+            ValuationGap(p=p, n=n, forbidden=frozenset(missing)),
         )
     # n == 3 with d in {1, 2}: valuations cover Z/3, so units decide.
-    m = _smallest_non_residue(n, p.p)
+    m = _smallest_non_residue(n, p)
     if m is not None:
         trace.append(
             RuleApplication(
@@ -282,7 +278,7 @@ def decide_binary(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdic
         return Verdict(
             NOT_DENSE,
             tuple(trace),
-            ResidueGap(p=p.p, n=n, unit_class=m, modulus_exponent=1),
+            ResidueGap(p=p, n=n, unit_class=m, modulus_exponent=1),
         )
     trace.append(
         RuleApplication(
@@ -373,27 +369,35 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
         if n == 3 and p.p != 3:
             triple = _shared_class_triple(prof.residues)
             if triple is not None:
-                stripped = DiagonalForm(
-                    3, tuple(prof.unit_parts[i] for i in triple)
-                )
-                witness = find_nonsingular_zero_mod_p(stripped, p, budget)
-                trace.append(
-                    RuleApplication(
-                        "R3",
-                        "three coefficients share a valuation class mod 3; "
-                        "stripping p-powers leaves a unit ternary cubic, "
-                        "which has a non-singular zero over F_p (p != 3), "
-                        "hence a simple p-adic root whose nearby values "
-                        "fill every ball: dense (r >= 7 always contains "
-                        "such a triple by pigeonhole)",
-                        {
-                            "indices": list(triple),
-                            "stripped_coeffs": list(stripped.coeffs),
-                            "nonsingular_zero": list(witness),
-                        },
+                stripped = DiagonalForm(3, tuple(prof.unit_parts[i] for i in triple))
+                try:
+                    witness = find_nonsingular_zero_mod_p(stripped, p, budget)
+                except BudgetExceeded:
+                    trace.append(
+                        RuleApplication(
+                            "R3",
+                            "non-singular zero search skipped: exceeds the budget",
+                            {"indices": list(triple)},
+                        )
                     )
-                )
-                return Verdict(DENSE, tuple(trace))
+                else:
+                    trace.append(
+                        RuleApplication(
+                            "R3",
+                            "three coefficients share a valuation class mod 3; "
+                            "stripping p-powers leaves a unit ternary cubic, "
+                            "which has a non-singular zero over F_p (p != 3), "
+                            "hence a simple p-adic root whose nearby values "
+                            "fill every ball: dense (r >= 7 always contains "
+                            "such a triple by pigeonhole)",
+                            {
+                                "indices": list(triple),
+                                "stripped_coeffs": list(stripped.coeffs),
+                                "nonsingular_zero": list(witness),
+                            },
+                        )
+                    )
+                    return Verdict(DENSE, tuple(trace))
 
     if len(set(prof.residues)) == 1:
         unit_form = DiagonalForm(n, prof.unit_parts)
@@ -432,38 +436,40 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
             )
 
     if n >= 3 and form.r >= 3:
-        for i in range(form.r):
-            for j in range(i + 1, form.r):
-                try:
-                    sub = decide_binary(form.subform((i, j)), p, budget)
-                except BudgetExceeded:
-                    trace.append(
-                        RuleApplication(
-                            "R5",
-                            "binary subform skipped: its decision exceeds "
-                            "the budget",
-                            {"indices": [i, j]},
-                        )
+        M = stabilization_exponent(n, p).M
+        vals, units, classes = prof.valuations, prof.unit_parts, prof.residues
+        for i, j in combinations(range(form.r), 2):
+            # R1 rules such a pair NotDense by {0, d, -d} alone; R5 needs Dense.
+            if n >= 4 and classes[i] != classes[j]:
+                continue
+            try:
+                sub = _decide_pair(
+                    n, p.p, M, vals[i] - vals[j], units[i], units[j], budget
+                )
+            except BudgetExceeded:
+                trace.append(
+                    RuleApplication(
+                        "R5",
+                        "binary subform skipped: its decision exceeds the budget",
+                        {"indices": [i, j]},
                     )
-                    continue
-                if sub.status == DENSE:
-                    trace.append(
-                        RuleApplication(
-                            "R5",
-                            "the quotient set of a subform is contained in "
-                            "the full quotient set, and the binary subform "
-                            "on the listed coordinates is dense",
-                            {
-                                "indices": [i, j],
-                                "subform_coeffs": [
-                                    form.coeffs[i],
-                                    form.coeffs[j],
-                                ],
-                            },
-                        )
+                )
+                continue
+            if sub.status == DENSE:
+                trace.append(
+                    RuleApplication(
+                        "R5",
+                        "the quotient set of a subform is contained in "
+                        "the full quotient set, and the binary subform "
+                        "on the listed coordinates is dense",
+                        {
+                            "indices": [i, j],
+                            "subform_coeffs": [form.coeffs[i], form.coeffs[j]],
+                        },
                     )
-                    trace.extend(sub.trace)
-                    return Verdict(DENSE, tuple(trace))
+                )
+                trace.extend(sub.trace)
+                return Verdict(DENSE, tuple(trace))
 
     summary_note = (
         "no rule applies; the fragment of theory implemented here leaves "

@@ -61,9 +61,6 @@ class DiagonalForm:
             a * operator.index(x) ** self.n for a, x in zip(self.coeffs, point)
         )
 
-    def subform(self, indices) -> "DiagonalForm":
-        return DiagonalForm(self.n, tuple(self.coeffs[i] for i in indices))
-
     def __str__(self):
         names = (
             ["x", "y", "z", "w"][: self.r]
@@ -190,9 +187,9 @@ def find_nonsingular_zero_mod_p(form: DiagonalForm, p, budget: int = DEFAULT_BUD
 
 @dataclass(frozen=True)
 class ValuationProfile:
-    """Coefficient valuations mod n, their unit cofactors, and (when the
-    residues are pairwise distinct) the exact attainable set of value
-    valuations mod n."""
+    """Coefficient valuations, their classes mod n and unit cofactors.
+    When the classes are pairwise distinct they are exactly the attainable
+    value valuations mod n."""
 
     p: int
     n: int
@@ -200,7 +197,6 @@ class ValuationProfile:
     residues: tuple  # v_p(a_i) mod n, in coefficient order
     pairwise_distinct: bool
     unit_parts: tuple
-    attainable_value_residues: frozenset | None
 
 
 def valuation_profile(form: DiagonalForm, p) -> ValuationProfile:
@@ -214,13 +210,11 @@ def valuation_profile(form: DiagonalForm, p) -> ValuationProfile:
     splits = [split_power(a, p) for a in form.coeffs]
     vals = tuple(alpha for alpha, _ in splits)
     residues = tuple(alpha % form.n for alpha in vals)
-    distinct = len(set(residues)) == len(residues)
     return ValuationProfile(
         p=p,
         n=form.n,
         valuations=vals,
         residues=residues,
-        pairwise_distinct=distinct,
+        pairwise_distinct=len(set(residues)) == len(residues),
         unit_parts=tuple(u for _, u in splits),
-        attainable_value_residues=frozenset(residues) if distinct else None,
     )

@@ -16,6 +16,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .errors import NotInvertible, PreconditionFailed
 
@@ -111,18 +112,13 @@ def valuation(x, p) -> int:
 
 
 def inverse_mod(a: int, modulus: int) -> int:
-    """The x in [1, modulus-1] with a*x == 1 (mod modulus), by extended Euclid."""
+    """The x in [0, modulus-1] with a*x == 1 (mod modulus)."""
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
-    r0, r1 = a % modulus, modulus
-    s0, s1 = 1, 0
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if r0 != 1:
-        raise NotInvertible(f"gcd({a}, {modulus}) = {r0} != 1")
-    return s0 % modulus
+    try:
+        return pow(a, -1, modulus)
+    except ValueError:
+        raise NotInvertible(f"gcd({a}, {modulus}) = {gcd(a, modulus)} != 1") from None
 
 
 def unit_residue(x, p, K: int) -> int:

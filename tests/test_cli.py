@@ -56,7 +56,7 @@ def test_decide_usage_error_exit_64(capsys):
         (["decide", "--n", "0", "--coeffs", "1,1", "--p", "7"], 64),
         (["decide", "--n", "3", "--coeffs", "x,1", "--p", "7"], 64),
         (["decide", "--n", "2", "--coeffs", "1,-1", "--p", "5", "--budget", "-1"], 64),
-        (["decide", "--n", "3", "--coeffs", "1,1,1", "--p", "7", "--budget", "10"], 65),
+        (["decide", "--n", "3", "--coeffs", "1,1,1", "--p", "7", "--budget", "10"], 0),
         (["aniso", "--n", "3", "--coeffs", "1,1,1", "--p", "7", "--budget", "10"], 65),
         (["residues", "--n", "3", "--p", "7", "--M", "3", "--budget", "10"], 65),
         (["lift", "--c", "2", "--n", "3", "--p", "5", "--prec", "4", "--budget", "2"],
@@ -79,7 +79,7 @@ def test_decide_usage_error_exit_64(capsys):
 def test_bad_input_fails_closed(argv, code, capsys):
     assert main(argv) == code
     err = capsys.readouterr().err
-    assert "error" in err
+    assert ("error" in err) == (code != 0)
     assert "<lambda>" not in err
 
 

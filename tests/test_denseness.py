@@ -17,7 +17,7 @@ from qdense.denseness import (
     verdict_from_dict,
     verdict_to_dict,
 )
-from qdense.errors import BudgetExceeded, UnsupportedDegree
+from qdense.errors import DEFAULT_BUDGET, BudgetExceeded, UnsupportedDegree
 from qdense.forms import DiagonalForm, valuation_profile
 from qdense.residues import is_nth_power_residue
 
@@ -272,6 +272,68 @@ def test_r5_skips_over_budget_subform_in_every_order():
             if "skipped" in entry.statement:
                 assert sorted(coeffs[i] for i in entry.params["indices"]) == [1, 2]
         assert verdict_from_dict(verdict_to_dict(verdict)) == verdict
+
+
+def test_r3_skips_over_budget_zero_search():
+    # The 1009^2 search pairs exceed the budget, so R3 records a skip; R4's
+    # enumeration is skipped too, and R5 still finds the Dense subform (1, 1),
+    # whose unit ratio -1 is a cube and needs no enumeration.
+    verdict = decide(DiagonalForm(3, (1, 1, 1)), 1009, budget=1000)
+    assert verdict.status == DENSE
+    assert verdict.deciding_rule == "R5"
+    skip = verdict.trace[0]
+    assert (skip.rule, skip.params) == ("R3", {"indices": [0, 1, 2]})
+    assert "skipped" in skip.statement
+    assert verdict_from_dict(verdict_to_dict(verdict)) == verdict
+
+
+@st.composite
+def _r5_case(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    n = draw(st.integers(3, 12))
+    r = draw(st.integers(3, 5))
+    coeffs = tuple(
+        draw(st.integers(1, 30) | st.integers(-30, -1)) * p ** draw(st.integers(0, 2))
+        for _ in range(r)
+    )
+    budget = draw(st.sampled_from([0, 1, 4, 10, 30, 100, 1_000, DEFAULT_BUDGET]))
+    return n, p, coeffs, budget
+
+
+@settings(max_examples=300, deadline=None)
+@given(_r5_case())
+def test_r5_agrees_with_decide_binary_on_every_subform(case):
+    # R5 by definition: walk the pairs in lexicographic order, record a skip
+    # for each pair whose decide_binary exceeds the budget, and cite the
+    # first Dense one with its R1 trace; R6 means no pair is Dense.
+    n, p, coeffs, budget = case
+    form = DiagonalForm(n, coeffs)
+    verdict = decide(form, p, budget)
+    if verdict.deciding_rule not in ("R5", "R6"):
+        return
+    skipped, dense = [], None
+    for pair in itertools.combinations(range(form.r), 2):
+        try:
+            sub = decide_binary(DiagonalForm(n, [coeffs[i] for i in pair]), p, budget)
+        except BudgetExceeded:
+            skipped.append(list(pair))
+            continue
+        if sub.status == DENSE:
+            dense = list(pair), sub
+            break
+    r5 = [e for e in verdict.trace if e.rule == "R5"]
+    assert [e.params["indices"] for e in r5 if "skipped" in e.statement] == skipped
+    if dense is None:
+        assert verdict.status == INCONCLUSIVE
+        assert len(r5) == len(skipped)
+        return
+    assert verdict.status == DENSE
+    cited = r5[-1]
+    assert cited.params == {
+        "indices": dense[0],
+        "subform_coeffs": [coeffs[i] for i in dense[0]],
+    }
+    assert verdict.trace[verdict.trace.index(cited) + 1 :] == dense[1].trace
 
 
 def test_decide_scaling_invariance():

@@ -2,7 +2,8 @@
 neither the oracle nor the certificate module imports the rule engine, and
 the rule engine imports nothing from the oracle, so the oracle is evidence
 independent of the engine whose certificates it checks.  Every exported
-name is bound, and every docstring example runs."""
+name is bound, every docstring example runs, and every function the
+benchmark tracer wraps exists."""
 
 import ast
 import doctest
@@ -95,3 +96,26 @@ def test_package_reexports_match_all():
         if hasattr(module, "__all__"):
             names = [alias.name for alias in node.names]
             assert sorted(names) == sorted(module.__all__), node.module
+
+
+def _tracer_targets():
+    """perfbench/tracer.py's TARGETS tuple, read as a literal, not imported."""
+    tree = ast.parse((SRC.parent.parent / "perfbench" / "tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            if getattr(node.targets[0], "id", "") == "TARGETS":
+                return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no TARGETS")
+
+
+def test_tracer_targets_resolve():
+    """Every function the benchmark tracer wraps exists, so renaming one in
+    src/ fails here instead of breaking `perfbench/run.py --trace 1`."""
+    targets = _tracer_targets()
+    assert targets, "the tracer names no targets"
+    missing = [
+        f"{module}.{attr}"
+        for _, module, attr in targets
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert not missing, f"tracer targets that do not resolve: {missing}"
