@@ -81,11 +81,6 @@ class BinaryNormalization:
 
     delta = v_p(a) - v_p(b) is returned un-reduced alongside its class mod n
     so callers can tell whether plain scaling or a substitution was needed.
-    The recorded point substitution (x, y) -> (p^qa * x, p^qb * y) satisfies
-
-        normalized(p^qa * x, p^qb * y) = p^c * F(x, y)
-
-    which makes the quotient-set identity directly checkable.
     """
 
     p: int
@@ -93,9 +88,6 @@ class BinaryNormalization:
     delta: int
     delta_class: int
     units: tuple
-    normalized: DiagonalForm
-    point_scale: tuple  # (qa, qb)
-    constant_scale: int  # c in the displayed identity
 
 
 def normalize_binary(form: DiagonalForm, p) -> BinaryNormalization:
@@ -103,26 +95,12 @@ def normalize_binary(form: DiagonalForm, p) -> BinaryNormalization:
     if form.r != 2:
         raise DimensionMismatch("normalize_binary needs a binary form")
     p = as_prime(p).p
-    n = form.n
     a, b = form.coeffs
     alpha, la = split_power(a, p)
     beta, lb = split_power(b, p)
     delta = alpha - beta
-    d = delta % n
-    normalized = DiagonalForm(n, (p**d * la, lb))
-    # Solve n*qa + d = c + alpha and n*qb = c + beta with qa, qb >= 0.
-    qb = max(0, -(-beta // n), -(delta - d) // n)
-    c = n * qb - beta
-    qa = (c + alpha - d) // n
     return BinaryNormalization(
-        p=p,
-        n=n,
-        delta=delta,
-        delta_class=d,
-        units=(la, lb),
-        normalized=normalized,
-        point_scale=(qa, qb),
-        constant_scale=c,
+        p=p, n=form.n, delta=delta, delta_class=delta % form.n, units=(la, lb)
     )
 
 

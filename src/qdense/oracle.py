@@ -179,6 +179,14 @@ def enumerate_values(
     reach every class.  For odd n, F(-x) = -F(x), so the points whose
     first nonzero coordinate is negative are visited and each class
     (v, u) found there also gives (v, -u mod p^K).
+
+    A box row is a prefix sum s over the leading coordinates plus every
+    monomial t of the last one.  Its unit values, s + t prime to p, are
+    read off in one step: the residues of the monomials mod p^K form one
+    bitmask, and its cyclic shift by s mod p^K holds the residues of the
+    row.  Only the values divisible by p, t = -s mod p, are split into
+    p^v * unit one by one.  The bitmask has p^K bits, so p^K counts
+    against the budget.
     """
     p = as_prime(p).p
     if (2 * B + 1) ** form.r > budget:
@@ -186,14 +194,26 @@ def enumerate_values(
             f"({2*B+1})^{form.r} box points exceed budget {budget}"
         )
     pK = p**K
+    if pK > budget:
+        raise BudgetExceeded(f"residue bitmask mod {p}^{K} exceeds budget {budget}")
     n = form.n
     odd = n % 2
     xs = range(-B, B + 1 if odd else 1)
     *head_coeffs, last = form.coeffs
-    # Each point is a prefix sum over the leading coordinates plus one
-    # precomputed monomial of the last coordinate.
+    # Residues mod p^K tell units from multiples of p only when K >= 1.
+    mK = p ** max(K, 1)
+
+    def row_kernel(monomials):
+        # The residue bitmask, doubled so that one right shift by mK - s
+        # is the cyclic shift by s, and the monomials bucketed mod p.
+        mask, by_residue = 0, {}
+        for t in monomials:
+            mask |= 1 << t % mK
+            by_residue.setdefault(t % p, []).append(t)
+        return mask | mask << mK, by_residue
+
     heads = itertools.product(*[[a * x**n for x in xs] for a in head_coeffs])
-    tail = [last * x**n for x in xs]
+    tail = row_kernel([last * x**n for x in xs])
     if odd:
         # In lexicographic order the heads before the zero head are those
         # whose first nonzero coordinate is negative; the zero head then
@@ -201,22 +221,33 @@ def enumerate_values(
         half = ((2 * B + 1) ** len(head_coeffs) - 1) // 2
         rows = itertools.chain(
             ((sum(terms), tail) for terms in itertools.islice(heads, half)),
-            [(0, tail[:B])],
+            [(0, row_kernel([last * x**n for x in xs[:B]]))],
         )
     else:
         rows = ((sum(terms), tail) for terms in heads)
+    units = 0
     classes = set()
-    for prefix, monomials in rows:
-        for monomial in monomials:
+    for prefix, (doubled, by_residue) in rows:
+        units |= doubled >> mK - prefix % mK
+        for monomial in by_residue.get(-prefix % p, ()):
             value = prefix + monomial
             if value == 0:
                 continue
-            # Inline, not split_power: a call per box point slows this hot loop.
-            v = 0
+            # Inline, not split_power: a call per value slows this hot loop.
+            value //= p
+            v = 1
             while value % p == 0:
                 value //= p
                 v += 1
             classes.add((v, value % pK))
+    # full // (2^p - 1) has bits 0, p, 2p, ...: the multiples of p.  The
+    # other bits of `units` below mK are the unit residues some row reached.
+    full = (1 << mK) - 1
+    bits = bin(units & full & ~(full // ((1 << p) - 1)))[:1:-1]
+    u = bits.find("1")
+    while u >= 0:
+        classes.add((0, u % pK))
+        u = bits.find("1", u + 1)
     if odd:
         classes |= {(v, -u % pK) for v, u in classes}
     return ValueClasses(form=form, p=p, K=K, B=B, classes=frozenset(classes))

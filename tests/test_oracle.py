@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdense.denseness import ResidueGap, ValuationGap, decide
@@ -41,6 +41,13 @@ def test_enumerate_values_skips_zero_and_respects_budget():
         vals.witness((0, 0))
     with pytest.raises(BudgetExceeded):
         enumerate_values(DiagonalForm(3, (1, 1)), 7, B=10**8, K=1)
+
+
+def test_enumerate_values_counts_residue_bitmask_against_budget():
+    # The unit classes of a row are read from a p^K-bit mask, so a large
+    # p^K fails closed even for a tiny box.
+    with pytest.raises(BudgetExceeded):
+        enumerate_values(DiagonalForm(3, (1, 1)), 2, B=1, K=40)
 
 
 def test_witness_integrity():
@@ -98,11 +105,16 @@ def _reference_hits(classes, p, K, V):
 def _oracle_case(draw):
     r = draw(st.integers(1, 3))
     n = draw(st.integers(2, 8))
-    coeffs = tuple(
-        draw(st.integers(1, 30)) * draw(st.sampled_from([-1, 1])) for _ in range(r)
-    )
     p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
-    B = draw(st.integers(0, (6, 4, 2)[r - 1]))
+    # p-power factors make p divide whole box rows.
+    coeffs = tuple(
+        draw(st.integers(1, 30))
+        * draw(st.sampled_from([-1, 1]))
+        * p ** draw(st.integers(0, 2))
+        for _ in range(r)
+    )
+    # Boxes wide enough that a row's residues wrap around mod p^K.
+    B = draw(st.integers(0, (20, 12, 3)[r - 1]))
     K = draw(st.integers(1, 4))  # at p = 2, K >= 3 the units are {+-1} x <5>
     V = draw(st.integers(0, n))
     return DiagonalForm(n, coeffs), p, B, K, V
@@ -110,6 +122,7 @@ def _oracle_case(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_oracle_case())
+@example((DiagonalForm(3, (1, 2)), 1009, 3, 2, 3))  # a 1009^2-bit residue mask
 def test_kernel_matches_reference(case):
     form, p, B, K, V = case
     values = enumerate_values(form, p, B, K)
@@ -120,7 +133,10 @@ def test_kernel_matches_reference(case):
     quotients = _quotient_map(values, V)
     hits = _reference_hits(classes, p, K, V)
     assert quotients.hits == set(hits)
-    for key in quotients.hits:
+    # Each quotient witness rescans the box, so a wide box with thousands of
+    # hits checks at most 200 of them, evenly spaced in sorted order.
+    keys = sorted(quotients.hits)
+    for key in keys[:: len(keys) // 200 + 1]:
         assert quotients.witness(key) == hits[key]
 
 
