@@ -102,7 +102,8 @@ def _reference_hits(classes, p, K, V):
 
 
 @st.composite
-def _oracle_case(draw):
+def _oracle_case(draw, boxes):
+    """A random (form, p, B, K, V); `boxes[r - 1]` bounds B for r variables."""
     r = draw(st.integers(1, 3))
     n = draw(st.integers(2, 8))
     p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
@@ -113,18 +114,15 @@ def _oracle_case(draw):
         * p ** draw(st.integers(0, 2))
         for _ in range(r)
     )
-    # Boxes wide enough that a row's residues wrap around mod p^K.
-    B = draw(st.integers(0, (20, 12, 3)[r - 1]))
+    B = draw(st.integers(*boxes[r - 1]))
     K = draw(st.integers(1, 4))  # at p = 2, K >= 3 the units are {+-1} x <5>
     V = draw(st.integers(0, n))
     return DiagonalForm(n, coeffs), p, B, K, V
 
 
-@settings(max_examples=200, deadline=None)
-@given(_oracle_case())
-@example((DiagonalForm(3, (1, 2)), 1009, 3, 2, 3))  # a 1009^2-bit residue mask
-def test_kernel_matches_reference(case):
-    form, p, B, K, V = case
+def _compare_with_reference(form, p, B, K, V):
+    """Check the value classes, every value witness and the hit set against
+    the reference; return the quotient map and the reference hits."""
     values = enumerate_values(form, p, B, K)
     classes = _reference_classes(form, p, B, K)
     assert values.classes == classes.keys()
@@ -133,8 +131,25 @@ def test_kernel_matches_reference(case):
     quotients = _quotient_map(values, V)
     hits = _reference_hits(classes, p, K, V)
     assert quotients.hits == set(hits)
-    # Each quotient witness rescans the box, so a wide box with thousands of
-    # hits checks at most 200 of them, evenly spaced in sorted order.
+    return quotients, hits
+
+
+@settings(max_examples=200, deadline=None)
+@given(_oracle_case([(0, 6), (0, 4), (0, 2)]))
+@example((DiagonalForm(3, (1, 2)), 1009, 3, 2, 3))  # a 1009^2-bit residue mask
+def test_kernel_matches_reference(case):
+    quotients, hits = _compare_with_reference(*case)
+    for key in quotients.hits:
+        assert quotients.witness(key) == hits[key]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_oracle_case([(7, 20), (5, 12), (3, 3)]))
+def test_kernel_matches_reference_on_wide_boxes(case):
+    # Boxes wide enough that a row's residues wrap around mod p^K.  Each
+    # quotient witness rescans the box, and these boxes have thousands of
+    # hits, so at most 200 of them, evenly spaced in sorted order, are checked.
+    quotients, hits = _compare_with_reference(*case)
     keys = sorted(quotients.hits)
     for key in keys[:: len(keys) // 200 + 1]:
         assert quotients.witness(key) == hits[key]
