@@ -34,7 +34,6 @@ from .errors import (
     UnsupportedDegree,
 )
 from .forms import (
-    BinaryNormalization,
     DiagonalForm,
     ValuationProfile,
     find_nonsingular_zero_mod_p,
@@ -53,14 +52,11 @@ from .oracle import (
     quotient_coverage,
 )
 from .padic import (
-    PrimeModulus,
     hensel_lift_root,
     inverse_mod,
     valuation,
 )
 from .residues import (
-    StabilizationExponent,
-    ResidueSet,
     is_nth_power_in_Zp,
     is_nth_power_residue,
     stabilization_exponent,

@@ -235,8 +235,7 @@ def cmd_lift(args) -> int:
 
 
 def cmd_residues(args) -> int:
-    rs = nth_power_residues(args.n, args.p, args.M, budget=_budget(args))
-    members = rs.sorted_members()
+    members = sorted(nth_power_residues(args.n, args.p, args.M, budget=_budget(args)))
     if args.json:
         print(
             json.dumps(
@@ -291,7 +290,6 @@ def build_parser() -> _Parser:
     p_decide = subs.add_parser("decide", help="decide denseness of R(F) in Q_p")
     _add_form_args(p_decide)
     p_decide.add_argument("--json", action="store_true")
-    p_decide.add_argument("--budget", type=int, default=None)
     p_decide.set_defaults(func=cmd_decide)
 
     p_oracle = subs.add_parser("oracle", help="brute-force coverage report")
@@ -309,7 +307,6 @@ def build_parser() -> _Parser:
     oracle_format = p_oracle.add_mutually_exclusive_group()
     oracle_format.add_argument("--json", action="store_true")
     oracle_format.add_argument("--csv", action="store_true")
-    p_oracle.add_argument("--budget", type=int, default=None)
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_survey = subs.add_parser("survey", help="verdict table for many forms")
@@ -325,7 +322,6 @@ def build_parser() -> _Parser:
     )
     p_survey.add_argument("--vars", type=_int_at_least(1), default=2)
     p_survey.add_argument("--json", action="store_true")
-    p_survey.add_argument("--budget", type=int, default=None)
     p_survey.set_defaults(func=cmd_survey)
 
     p_lift = subs.add_parser(
@@ -336,7 +332,6 @@ def build_parser() -> _Parser:
     p_lift.add_argument("--p", type=int, required=True)
     p_lift.add_argument("--prec", type=_int_at_least(1), required=True)
     p_lift.add_argument("--json", action="store_true")
-    p_lift.add_argument("--budget", type=int, default=None)
     p_lift.set_defaults(func=cmd_lift)
 
     p_res = subs.add_parser("residues", help="dump nth-power residues mod p^M")
@@ -344,15 +339,15 @@ def build_parser() -> _Parser:
     p_res.add_argument("--p", type=int, required=True)
     p_res.add_argument("--M", type=int, required=True)
     p_res.add_argument("--json", action="store_true")
-    p_res.add_argument("--budget", type=int, default=None)
     p_res.set_defaults(func=cmd_residues)
 
     p_aniso = subs.add_parser("aniso", help="exhaustive anisotropy check mod p")
     _add_form_args(p_aniso)
     p_aniso.add_argument("--json", action="store_true")
-    p_aniso.add_argument("--budget", type=int, default=None)
     p_aniso.set_defaults(func=cmd_aniso)
 
+    for sub in subs.choices.values():
+        sub.add_argument("--budget", type=int, default=None)
     return parser
 
 

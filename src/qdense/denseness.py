@@ -140,7 +140,7 @@ def _cancellation_offsets(m0: int, n: int, p: int, M: int, budget: int):
         return {0}
     pM = p**M
     offsets = {0}
-    for wn in nth_power_residues(n, p, M, budget).members:
+    for wn in nth_power_residues(n, p, M, budget):
         offsets.add(split_power((wn - m0) % pM, p)[0])
     return offsets
 
@@ -156,9 +156,8 @@ def decide_binary(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdic
     if form.n < 3:
         raise UnsupportedDegree("binary decision rules require degree n >= 3")
     p = as_prime(p)
-    norm = normalize_binary(form, p)
-    M = stabilization_exponent(form.n, p).M
-    return _decide_pair(form.n, p.p, M, norm.delta, *norm.units, budget)
+    M = stabilization_exponent(form.n, p)
+    return _decide_pair(form.n, p, M, *normalize_binary(form, p), budget)
 
 
 def _decide_pair(n, p, M, delta, la, lb, budget) -> Verdict:
@@ -246,17 +245,6 @@ def _decide_pair(n, p, M, delta, la, lb, budget) -> Verdict:
                 {"d": d, "forbidden": missing},
             )
         )
-        if n == 5 and d in (2, 3):
-            trace.append(
-                RuleApplication(
-                    "R1",
-                    "boundary-family note: for the exponent pattern {0, .., t-2, t} "
-                    "with t = floor(n/2), the difference-cover analysis yields "
-                    "NotDense when n = 5 (the analogous pattern is dense for every "
-                    "n >= 6); this engine follows the cover analysis",
-                    {"n": n},
-                )
-            )
         return Verdict(
             NOT_DENSE,
             tuple(trace),
@@ -317,7 +305,7 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
 
     prof = valuation_profile(form, p)
     if n >= 3:
-        gate = gcd(n, p.p * (p.p - 1)) == 1
+        gate = gcd(n, p * (p - 1)) == 1
         if gate and not prof.pairwise_distinct:
             i, j = _matching_pair(prof.residues)
             trace.append(
@@ -348,7 +336,7 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
                 return Verdict(
                     NOT_DENSE,
                     tuple(trace),
-                    ValuationGap(p=p.p, n=n, forbidden=frozenset(missing)),
+                    ValuationGap(p=p, n=n, forbidden=frozenset(missing)),
                 )
             if gate:
                 trace.append(
@@ -366,7 +354,7 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
                 )
                 return Verdict(DENSE, tuple(trace))
 
-        if n == 3 and p.p != 3:
+        if n == 3 and p != 3:
             triple = _shared_class_triple(prof.residues)
             if triple is not None:
                 stripped = DiagonalForm(3, tuple(prof.unit_parts[i] for i in triple))
@@ -432,11 +420,11 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
             return Verdict(
                 NOT_DENSE,
                 tuple(trace),
-                ValuationGap(p=p.p, n=n, forbidden=frozenset(range(1, n))),
+                ValuationGap(p=p, n=n, forbidden=frozenset(range(1, n))),
             )
 
     if n >= 3 and form.r >= 3:
-        M = stabilization_exponent(n, p).M
+        M = stabilization_exponent(n, p)
         vals, units, classes = prof.valuations, prof.unit_parts, prof.residues
         for i, j in combinations(range(form.r), 2):
             # R1 rules such a pair NotDense by {0, d, -d} alone; R5 needs Dense.
@@ -444,7 +432,7 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
                 continue
             try:
                 sub = _decide_pair(
-                    n, p.p, M, vals[i] - vals[j], units[i], units[j], budget
+                    n, p, M, vals[i] - vals[j], units[i], units[j], budget
                 )
             except BudgetExceeded:
                 trace.append(

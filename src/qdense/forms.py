@@ -19,7 +19,6 @@ from .padic import as_prime, split_power
 
 __all__ = [
     "DiagonalForm",
-    "BinaryNormalization",
     "ValuationProfile",
     "normalize_binary",
     "is_anisotropic_mod_p",
@@ -75,33 +74,20 @@ class DiagonalForm:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class BinaryNormalization:
-    """Result of reducing a*x^n + b*y^n to p^d*la*x^n + lb*y^n with d = delta mod n.
+def normalize_binary(form: DiagonalForm, p) -> tuple:
+    """(delta, la, lb) for a*x^n + b*y^n, with a = p^alpha*la, b = p^beta*lb,
+    la and lb prime to p and delta = alpha - beta, not reduced mod n.
 
-    delta = v_p(a) - v_p(b) is returned un-reduced alongside its class mod n
-    so callers can tell whether plain scaling or a substitution was needed.
+    Scaling by a constant and x -> p^t x preserve the quotient set, so the
+    form's quotient set is that of p^(delta mod n)*la*x^n + lb*y^n.
     """
-
-    p: int
-    n: int
-    delta: int
-    delta_class: int
-    units: tuple
-
-
-def normalize_binary(form: DiagonalForm, p) -> BinaryNormalization:
-    """Strip coefficient p-powers from a binary form, preserving the quotient set."""
     if form.r != 2:
         raise DimensionMismatch("normalize_binary needs a binary form")
-    p = as_prime(p).p
+    p = as_prime(p)
     a, b = form.coeffs
     alpha, la = split_power(a, p)
     beta, lb = split_power(b, p)
-    delta = alpha - beta
-    return BinaryNormalization(
-        p=p, n=form.n, delta=delta, delta_class=delta % form.n, units=(la, lb)
-    )
+    return alpha - beta, la, lb
 
 
 def _projective_representatives(p: int, r: int):
@@ -119,7 +105,7 @@ def is_anisotropic_mod_p(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET):
     else (False, witness).  Scalar multiples are skipped: F(c*x) = c^n F(x),
     so projective representatives suffice.
     """
-    p = as_prime(p).p
+    p = as_prime(p)
     if (p**form.r - 1) // (p - 1) > budget:
         raise BudgetExceeded(f"{p}^{form.r} vectors exceed budget {budget}")
     residues = [a % p for a in form.coeffs]
@@ -141,7 +127,7 @@ def find_nonsingular_zero_mod_p(form: DiagonalForm, p, budget: int = DEFAULT_BUD
     """
     if form.r != 3 or form.n != 3:
         raise DimensionMismatch("search is defined for ternary cubics")
-    p = as_prime(p).p
+    p = as_prime(p)
     if p**2 > budget:
         raise BudgetExceeded(f"{p}^2 search pairs exceed budget {budget}")
     a, b, c = (x % p for x in form.coeffs)
@@ -169,8 +155,6 @@ class ValuationProfile:
     When the classes are pairwise distinct they are exactly the attainable
     value valuations mod n."""
 
-    p: int
-    n: int
     valuations: tuple
     residues: tuple  # v_p(a_i) mod n, in coefficient order
     pairwise_distinct: bool
@@ -184,13 +168,11 @@ def valuation_profile(form: DiagonalForm, p) -> ValuationProfile:
     valuation, so the ultrametric minimum is always attained exactly and
     v_p(F(x)) mod n ranges over precisely {v_p(a_i) mod n}.
     """
-    p = as_prime(p).p
+    p = as_prime(p)
     splits = [split_power(a, p) for a in form.coeffs]
     vals = tuple(alpha for alpha, _ in splits)
     residues = tuple(alpha % form.n for alpha in vals)
     return ValuationProfile(
-        p=p,
-        n=form.n,
         valuations=vals,
         residues=residues,
         pairwise_distinct=len(set(residues)) == len(residues),

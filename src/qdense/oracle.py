@@ -18,6 +18,7 @@ import io
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .certificates import ResidueGap, ValuationGap
 from .errors import DEFAULT_BUDGET, BudgetExceeded, ParameterMismatch
@@ -40,8 +41,9 @@ __all__ = [
 class ValueClasses:
     """Observed (valuation, unit mod p^K) classes of F over a box.
 
-    `classes` is the set of (v, u) keys; `witness(key)` finds the
-    lexicographically least box point realizing a key on demand.
+    `classes` is the set of (v, u) keys; `witness(key)` is the
+    lexicographically least box point realizing a key, and the first call
+    finds the least point of every class.
     """
 
     form: DiagonalForm
@@ -54,23 +56,41 @@ class ValueClasses:
     def valuations(self) -> set:
         return {v for v, _ in self.classes}
 
-    def witness(self, key) -> tuple:
-        """The lexicographically least point of [-B, B]^r realizing a key.
+    @cached_property
+    def _least_points(self) -> dict:
+        """The lexicographically least point of [-B, B]^r realizing each
+        class, from one scan of the half box `enumerate_values` visits.
 
-        For even n the least point has no positive coordinate (see
-        `enumerate_values`), so only those points are scanned.
+        For even n the least point has no positive coordinate.  For odd n
+        the scan stops at the origin, so its points have a negative first
+        nonzero coordinate; every later point is the negation of one of
+        them, and negation reverses lexicographic order.
         """
-        if key not in self.classes:
-            raise KeyError(key)
         pK = self.p**self.K
-        xs = range(-self.B, self.B + 1 if self.form.n % 2 else 1)
-        for point in itertools.product(xs, repeat=self.form.r):
+        n, r, B = self.form.n, self.form.r, self.B
+        points = itertools.product(range(-B, B + 1 if n % 2 else 1), repeat=r)
+        if n % 2:
+            points = itertools.islice(points, ((2 * B + 1) ** r - 1) // 2)
+        least, greatest = {}, {}
+        for point in points:
             value = self.form.evaluate(point)
             if value:
                 v, unit = split_power(value, self.p)
-                if (v, unit % pK) == key:
-                    return point
-        raise AssertionError(f"class {key} has no witness point")
+                key = (v, unit % pK)
+                least.setdefault(key, point)
+                greatest[key] = point
+        if n % 2:
+            for (v, u), point in greatest.items():
+                least.setdefault((v, -u % pK), tuple(-x for x in point))
+        return least
+
+    def witness(self, key) -> tuple:
+        """The lexicographically least point of [-B, B]^r realizing a key."""
+        if key not in self.classes:
+            raise KeyError(key)
+        if key not in self._least_points:
+            raise AssertionError(f"class {key} has no witness point")
+        return self._least_points[key]
 
 
 @dataclass(frozen=True)
@@ -86,13 +106,21 @@ class QuotientClassMap:
     V: int
     hits: frozenset  # (v, u) keys
 
+    @cached_property
+    def _levels(self) -> dict:
+        """Valuation level -> its sorted units, in increasing level order."""
+        levels = {}
+        for v, u in sorted(self.values.classes):
+            levels.setdefault(v, []).append(u)
+        return levels
+
     def witness(self, key) -> tuple:
         """(numerator point, denominator point) for a hit key.
 
         The pair is the first in sorted (numerator class, denominator
         class) order: for a fixed numerator class (v1, u1) the denominator
         class (v1 - v, u1 / u) is unique, so walking the sorted numerator
-        classes finds it.
+        classes finds it, skipping each level v1 with no level v1 - v.
         """
         if key not in self.hits:
             raise KeyError(key)
@@ -100,10 +128,13 @@ class QuotientClassMap:
         values = self.values
         pK = values.p**values.K
         u_inv = inverse_mod(u, pK)
-        for v1, u1 in sorted(values.classes):
-            partner = (v1 - v, u1 * u_inv % pK)
-            if partner in values.classes:
-                return values.witness((v1, u1)), values.witness(partner)
+        for v1, level in self._levels.items():
+            if v1 - v not in self._levels:
+                continue
+            for u1 in level:
+                partner = (v1 - v, u1 * u_inv % pK)
+                if partner in values.classes:
+                    return values.witness((v1, u1)), values.witness(partner)
         raise AssertionError(f"hit {key} has no witness pair")
 
 
@@ -188,7 +219,7 @@ def enumerate_values(
     p^v * unit one by one.  The bitmask has p^K bits, so p^K counts
     against the budget.
     """
-    p = as_prime(p).p
+    p = as_prime(p)
     if (2 * B + 1) ** form.r > budget:
         raise BudgetExceeded(
             f"({2*B+1})^{form.r} box points exceed budget {budget}"
@@ -372,7 +403,7 @@ def quotient_coverage(
 
     The units mod p^K are listed too, so p^K counts against the budget.
     """
-    p = as_prime(p).p
+    p = as_prime(p)
     pK = p**K
     if pK > budget:
         raise BudgetExceeded(f"enumerating units mod {p}^{K} exceeds budget {budget}")

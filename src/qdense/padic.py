@@ -13,7 +13,6 @@ exactly the invariant a dedicated rational type would enforce).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -21,7 +20,6 @@ from math import gcd
 from .errors import NotInvertible, PreconditionFailed
 
 __all__ = [
-    "PrimeModulus",
     "valuation",
     "inverse_mod",
     "hensel_lift_root",
@@ -54,33 +52,23 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeModulus:
-    """A certified prime p.  Construction runs a deterministic primality test."""
-
-    p: int
-
-    def __post_init__(self):
-        if not isinstance(self.p, int):
-            raise TypeError(f"prime must be an int, got {type(self.p).__name__}")
-        if self.p >= _MAX_PRIME:
-            raise ValueError("primes are restricted to machine-word size")
-        if not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-
-    def __repr__(self):
-        return f"PrimeModulus({self.p})"
-
-
 @lru_cache(maxsize=None)
-def _certified(p: int) -> PrimeModulus:
-    return PrimeModulus(p)
+def _certified(p: int) -> int:
+    if not isinstance(p, int):
+        raise TypeError(f"prime must be an int, got {type(p).__name__}")
+    if p >= _MAX_PRIME:
+        raise ValueError("primes are restricted to machine-word size")
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return p
 
 
-def as_prime(p) -> PrimeModulus:
-    """Coerce an int (or PrimeModulus) to a certified PrimeModulus."""
-    if isinstance(p, PrimeModulus):
-        return p
+def as_prime(p) -> int:
+    """p itself, once a deterministic primality test has certified it.
+
+    Raises TypeError for a non-int and ValueError for a non-prime or for
+    p >= 2^64.
+    """
     return _certified(p)
 
 
@@ -106,7 +94,7 @@ def valuation(x, p) -> int:
     >>> valuation(Fraction(3, 7), 7)
     -1
     """
-    p = as_prime(p).p
+    p = as_prime(p)
     x = Fraction(x)
     return split_power(x.numerator, p)[0] - split_power(x.denominator, p)[0]
 
@@ -123,7 +111,7 @@ def inverse_mod(a: int, modulus: int) -> int:
 
 def unit_residue(x, p, K: int) -> int:
     """Residue mod p^K of the unit part x / p^valuation(x); ValueError on x == 0."""
-    p = as_prime(p).p
+    p = as_prime(p)
     x = Fraction(x)
     v = valuation(x, p)
     u = x / Fraction(p) ** v
@@ -156,7 +144,7 @@ def hensel_lift_root(poly, p, x0: int, K: int) -> int:
     >>> hensel_lift_root([-2, 0, 1], 7, 3, 2)   # x^2 - 2 near 3, mod 49
     10
     """
-    p = as_prime(p).p
+    p = as_prime(p)
     if K < 1:
         raise ValueError("precision K must be >= 1")
     coeffs = [operator.index(c) for c in poly]

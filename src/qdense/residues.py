@@ -13,7 +13,6 @@ congruence decides the infinite-precision question.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -34,8 +33,6 @@ from .padic import (
 )
 
 __all__ = [
-    "StabilizationExponent",
-    "ResidueSet",
     "stabilization_exponent",
     "nth_power_residues",
     "is_nth_power_residue",
@@ -44,39 +41,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StabilizationExponent:
-    """The stabilization exponent data for degree n at prime p."""
-
-    p: int
-    n: int
-    k: int  # v_p(n)
-    M: int  # k + v_p(2^[2|n]) + 1
-
-
-def stabilization_exponent(n: int, p) -> StabilizationExponent:
-    """Compute k = v_p(n) and M = k + v_p(2^[2|n]) + 1.
+def stabilization_exponent(n: int, p) -> int:
+    """M = v_p(n) + v_p(2^[2|n]) + 1.
 
     The bracket [2|n] is 1 iff n is even, so the middle term is 1 exactly
     when p = 2 and n is even.  Raises ValueError for n == 0.
     """
-    p = as_prime(p).p
+    p = as_prime(p)
     k, _ = split_power(n, p)
-    M = k + (1 if (p == 2 and n % 2 == 0) else 0) + 1
-    return StabilizationExponent(p=p, n=n, k=k, M=M)
-
-
-@dataclass(frozen=True)
-class ResidueSet:
-    """The exact set of nth-power residues among units mod p^M."""
-
-    p: int
-    exponent: int  # n
-    M: int
-    members: frozenset
-
-    def sorted_members(self) -> list:
-        return sorted(self.members)
+    return k + (1 if (p == 2 and n % 2 == 0) else 0) + 1
 
 
 @lru_cache(maxsize=4096)
@@ -87,12 +60,12 @@ def _residue_members(n: int, p: int, M: int, budget: int) -> frozenset:
     return frozenset(pow(a, n, pM) for a in range(1, pM) if a % p)
 
 
-def nth_power_residues(n: int, p, M: int, budget: int = DEFAULT_BUDGET) -> ResidueSet:
+def nth_power_residues(n: int, p, M: int, budget: int = DEFAULT_BUDGET) -> frozenset:
     """Exact residue set {a^n mod p^M : p does not divide a}, by enumeration."""
-    p = as_prime(p).p
+    p = as_prime(p)
     if M < 1:
         raise ValueError("modulus exponent M must be >= 1")
-    return ResidueSet(p=p, exponent=n, M=M, members=_residue_members(n, p, M, budget))
+    return _residue_members(n, p, M, budget)
 
 
 def is_nth_power_residue(u: int, n: int, p, M: int) -> bool:
@@ -104,7 +77,7 @@ def is_nth_power_residue(u: int, n: int, p, M: int) -> bool:
     m odd: odd powers permute the units, and the 2^k-th powers of units mod
     2^M are exactly the classes == 1 mod 2^min(k+2, M).
     """
-    p = as_prime(p).p
+    p = as_prime(p)
     if M < 1:
         raise ValueError("modulus exponent M must be >= 1")
     if n < 1:
@@ -126,7 +99,7 @@ def is_nth_power_in_Zp(c, n: int, p) -> bool:
 
     Requires c != 0 with valuation(c, p) >= 0.  True iff n divides
     valuation(c, p) and the unit part of c is an nth-power residue
-    modulo p^M with M = stabilization_exponent(n, p).M.
+    modulo p^M with M = stabilization_exponent(n, p).
     """
     p = as_prime(p)
     c = Fraction(c)
@@ -137,8 +110,8 @@ def is_nth_power_in_Zp(c, n: int, p) -> bool:
         raise NegativeValuation(f"valuation {v} < 0: not a p-adic integer")
     if v % n != 0:
         return False
-    exp = stabilization_exponent(n, p)
-    return is_nth_power_residue(unit_residue(c, p, exp.M), n, p, exp.M)
+    M = stabilization_exponent(n, p)
+    return is_nth_power_residue(unit_residue(c, p, M), n, p, M)
 
 
 def nth_root_in_Zp(c, n: int, p, K: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -150,27 +123,26 @@ def nth_root_in_Zp(c, n: int, p, K: int, budget: int = DEFAULT_BUDGET) -> int:
     """
     p = as_prime(p)
     if not is_nth_power_in_Zp(c, n, p):
-        raise NoRoot(f"x^{n} = {c} has no solution in Z_{p.p}")
+        raise NoRoot(f"x^{n} = {c} has no solution in Z_{p}")
     c = Fraction(c)
     v = valuation(c, p)
     if v >= K:
         # c == 0 mod p^K already; p^ceil(K/n) is the canonical root.
-        return pow(p.p, (K + n - 1) // n, p.p**K)
-    exp = stabilization_exponent(n, p)
-    E = max(exp.M + 1, 2 * exp.k + 1)
+        return pow(p, (K + n - 1) // n, p**K)
+    E = max(stabilization_exponent(n, p) + 1, 2 * split_power(n, p)[0] + 1)
     target = unit_residue(c, p, max(K - v, E))
-    start_mod = p.p**E
+    start_mod = p**E
     if start_mod > budget:
-        raise BudgetExceeded(f"start enumeration mod {p.p}^{E} exceeds budget")
+        raise BudgetExceeded(f"start enumeration mod {p}^{E} exceeds budget")
     start = next(
         (
             y
             for y in range(1, start_mod)
-            if y % p.p and pow(y, n, start_mod) == target % start_mod
+            if y % p and pow(y, n, start_mod) == target % start_mod
         ),
         None,
     )
     if start is None:
         raise AssertionError("stabilized residue test promised a starting root")
     root = hensel_lift_root([-target] + [0] * (n - 1) + [1], p, start, K - v)
-    return root * p.p ** (v // n) % p.p**K
+    return root * p ** (v // n) % p**K

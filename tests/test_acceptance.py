@@ -89,7 +89,7 @@ def test_criterion_2_residue_fast_path_vs_brute_force():
             pM = p**M
             units = [u for u in range(1, pM) if u % p]
             for n in range(1, 13):
-                members = nth_power_residues(n, p, M).members
+                members = nth_power_residues(n, p, M)
                 for u in units:
                     assert is_nth_power_residue(u, n, p, M) == (u in members), (
                         u,
@@ -118,8 +118,8 @@ def test_criterion_3_stabilization_ladder():
             pk = p**k
             e0 = k + (1 if p == 2 else 0) + 1
             e1 = e0 + 3
-            low = nth_power_residues(pk, p, e0).members
-            high = nth_power_residues(pk, p, e1).members
+            low = nth_power_residues(pk, p, e0)
+            high = nth_power_residues(pk, p, e1)
             for u in range(1, p**e1):
                 if u % p == 0:
                     continue

@@ -470,11 +470,11 @@ def test_threshold_family_n5():
 
 
 def test_remark_pattern_flag_for_n5():
-    # exponents {0, 2} with t = floor(5/2): flagged in the trace, verdict
-    # follows the cover analysis.
+    # exponents {0, 2} with t = floor(5/2): the verdict follows the cover
+    # analysis, and the trace carries no boundary-family note.
     v = decide(DiagonalForm(5, (1, 4)), 2)
     assert v.status == NOT_DENSE
-    assert any("boundary-family" in e.statement for e in v.trace)
+    assert not any("boundary-family" in e.statement for e in v.trace)
     # the analogous pattern for n = 7 covers and is dense
     v = decide(DiagonalForm(7, (1, 2, 8)), 2)
     assert v.status == DENSE

@@ -56,20 +56,20 @@ def test_evaluate_rejects_non_integer_points():
 
 
 def test_normalize_binary_examples():
-    norm = normalize_binary(DiagonalForm(3, (1, 2)), 7)
-    assert (norm.delta, norm.units) == (0, (1, 2))
+    delta, la, lb = normalize_binary(DiagonalForm(3, (1, 2)), 7)
+    assert (delta, la, lb) == (0, 1, 2)
 
-    norm = normalize_binary(DiagonalForm(3, (5, 1)), 5)
-    assert (norm.delta, norm.units) == (1, (1, 1))
+    delta, la, lb = normalize_binary(DiagonalForm(3, (5, 1)), 5)
+    assert (delta, la, lb) == (1, 1, 1)
 
-    norm = normalize_binary(DiagonalForm(3, (125, 1)), 5)
-    assert (norm.delta, norm.delta_class, norm.units) == (3, 0, (1, 1))
+    delta, la, lb = normalize_binary(DiagonalForm(3, (125, 1)), 5)
+    assert (delta, delta % 3, la, lb) == (3, 0, 1, 1)
 
 
 def test_normalize_keeps_signs_on_units():
-    norm = normalize_binary(DiagonalForm(4, (-8, 6)), 2)
-    assert norm.units == (-1, 3)
-    assert norm.delta == 2
+    delta, la, lb = normalize_binary(DiagonalForm(4, (-8, 6)), 2)
+    assert (la, lb) == (-1, 3)
+    assert delta == 2
 
 
 # ---------------------------------------------------------------------------

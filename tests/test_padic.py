@@ -5,7 +5,7 @@ import pytest
 
 from qdense.errors import NotInvertible, PreconditionFailed
 from qdense.padic import (
-    PrimeModulus,
+    as_prime,
     hensel_lift_root,
     inverse_mod,
     poly_eval,
@@ -15,16 +15,18 @@ from qdense.padic import (
 )
 
 # ---------------------------------------------------------------------------
-# PrimeModulus
+# as_prime
 # ---------------------------------------------------------------------------
 
 
 def test_prime_modulus_certifies():
-    assert PrimeModulus(2).p == 2
-    assert PrimeModulus(2**61 - 1).p == 2**61 - 1  # Mersenne prime
+    assert as_prime(2) == 2 and type(as_prime(2)) is int
+    assert as_prime(2**61 - 1) == 2**61 - 1  # Mersenne prime
     for bad in (0, 1, 4, 9, 561, 2**61):  # 561 is a Carmichael number
         with pytest.raises(ValueError):
-            PrimeModulus(bad)
+            as_prime(bad)
+    with pytest.raises(TypeError):
+        as_prime(7.0)
 
 
 # ---------------------------------------------------------------------------

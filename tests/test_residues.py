@@ -19,12 +19,9 @@ from qdense.residues import (
 
 
 def test_stabilization_exponent_examples():
-    e = stabilization_exponent(3, 3)
-    assert (e.k, e.M) == (1, 2)
-    e = stabilization_exponent(4, 2)
-    assert (e.k, e.M) == (2, 4)
-    e = stabilization_exponent(5, 7)
-    assert (e.k, e.M) == (0, 1)
+    assert stabilization_exponent(3, 3) == 2
+    assert stabilization_exponent(4, 2) == 4
+    assert stabilization_exponent(5, 7) == 1
     with pytest.raises(ValueError):  # v_p(0) is infinite; no M exists
         stabilization_exponent(0, 5)
 
@@ -32,11 +29,12 @@ def test_stabilization_exponent_examples():
 def test_stabilization_exponent_invariant():
     for n in range(2, 13):
         for p in (2, 3, 5, 7, 11, 13):
-            e = stabilization_exponent(n, p)
+            M = stabilization_exponent(n, p)
+            k, _ = split_power(n, p)
             if p == 2 and n % 2 == 0:
-                assert e.M == e.k + 2
+                assert M == k + 2
             else:
-                assert e.M == e.k + 1
+                assert M == k + 1
 
 
 # ---------------------------------------------------------------------------
@@ -45,20 +43,20 @@ def test_stabilization_exponent_invariant():
 
 
 def test_nth_power_residues_examples():
-    assert nth_power_residues(3, 7, 1).sorted_members() == [1, 6]
-    assert nth_power_residues(3, 3, 2).sorted_members() == [1, 8]
-    assert nth_power_residues(1, 5, 1).sorted_members() == [1, 2, 3, 4]
+    assert nth_power_residues(3, 7, 1) == frozenset({1, 6})
+    assert nth_power_residues(3, 3, 2) == frozenset({1, 8})
+    assert nth_power_residues(1, 5, 1) == frozenset({1, 2, 3, 4})
 
 
 def test_residue_set_closed_under_multiplication():
     for n, p, M in [(3, 7, 2), (4, 2, 4), (6, 3, 3), (5, 5, 2)]:
         rs = nth_power_residues(n, p, M)
-        mod = rs.p**rs.M
-        for a in rs.members:
-            for b in rs.members:
-                assert a * b % mod in rs.members
-        assert 1 in rs.members
-        assert all(m % p for m in rs.members)
+        mod = p**M
+        for a in rs:
+            for b in rs:
+                assert a * b % mod in rs
+        assert 1 in rs
+        assert all(m % p for m in rs)
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +83,7 @@ def test_fast_path_matches_enumeration_small():
                 for u in range(1, p**M):
                     if u % p == 0:
                         continue
-                    assert is_nth_power_residue(u, n, p, M) == (u in rs.members), (
+                    assert is_nth_power_residue(u, n, p, M) == (u in rs), (
                         u,
                         n,
                         p,
@@ -133,8 +131,7 @@ def test_nth_power_in_Zp_matches_deep_enumeration():
     for _ in range(300):
         p = rng.choice([2, 3, 5, 7])
         n = rng.randint(2, 9)
-        exp = stabilization_exponent(n, p)
-        deep = exp.M + 3
+        deep = stabilization_exponent(n, p) + 3
         c = rng.randint(1, p**deep - 1)
         if c % p == 0:
             continue
@@ -160,8 +157,8 @@ def stabilization_check(u: int, pk: int, p: int, depth: int) -> bool:
     assert m == 1 and k >= 1, f"{pk} is not a positive power of {p}"
     e0 = k + (1 if p == 2 else 0) + 1
     e1 = e0 + depth
-    low = nth_power_residues(pk, p, e0).members
-    high = nth_power_residues(pk, p, e1).members
+    low = nth_power_residues(pk, p, e0)
+    high = nth_power_residues(pk, p, e1)
     return (u % p**e0 in low) == (u % p**e1 in high)
 
 
