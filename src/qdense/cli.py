@@ -38,6 +38,8 @@ EXIT_CONTRADICTION = 3
 EXIT_USAGE = 64
 EXIT_BUDGET = 65
 
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "))
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -137,7 +139,7 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _survey_rows(args):
+def _survey_rows(args, budget: int):
     if args.input:
         try:
             handle = open(args.input)
@@ -150,8 +152,8 @@ def _survey_rows(args):
                 try:
                     query = json.loads(line)
                     n, coeffs, p = query["n"], query["coeffs"], query["p"]
-                    ok = type(coeffs) is list and all(
-                        type(x) is int for x in (n, p, *coeffs)
+                    ok = type(coeffs) is list and (
+                        set(map(type, (n, p, *coeffs))) == {int}
                     )
                 except (json.JSONDecodeError, KeyError, TypeError):
                     ok = False
@@ -163,6 +165,17 @@ def _survey_rows(args):
                 yield n, tuple(coeffs), p
     else:
         lo, hi = args.coeff_range
+        width = max(hi - lo + 1 - (lo <= 0 <= hi), 0)  # nonzero coefficients
+        # Any width >= 2 passes the budget within bit_length + 1 variables, so
+        # capping the exponent there keeps a huge --vars from a huge int.
+        shape = len(args.n_list) * len(args.p_list) * width ** min(
+            args.vars, budget.bit_length() + 1
+        )
+        if shape > budget:
+            raise BudgetExceeded(
+                f"survey grid of {len(args.n_list)}*{len(args.p_list)}*{width}^"
+                f"{args.vars} forms exceeds budget {budget}"
+            )
         coeff_values = [c for c in range(lo, hi + 1) if c != 0]
         for n in args.n_list:
             for p in args.p_list:
@@ -177,27 +190,33 @@ def cmd_survey(args) -> int:
         )
     budget = _budget(args)
     rows = []
-    for n, coeffs, p in _survey_rows(args):
-        row = {
-            "n": n,
-            "coeffs": ",".join(str(c) for c in coeffs),
-            "p": p,
-            "status": "",
-            "rule": "",
-            "certificate": "",
-            "error": "",
-        }
+    for n, coeffs, p in _survey_rows(args, budget):
+        status = rule = certificate = error = ""
         try:
             verdict = decide(DiagonalForm(n, coeffs), p, budget=budget)
-            row["status"] = verdict.status
-            row["rule"] = verdict.deciding_rule
+            status, rule = verdict.status, verdict.deciding_rule
             if verdict.certificate is not None:
-                row["certificate"] = type(verdict.certificate).__name__
+                certificate = type(verdict.certificate).__name__
         except (QdenseError, ValueError) as exc:
-            row["error"] = str(exc)
-        rows.append(row)
+            error = str(exc)
+        rows.append(
+            {
+                "n": n,
+                "coeffs": ",".join(map(str, coeffs)),
+                "p": p,
+                "status": status,
+                "rule": rule,
+                "certificate": certificate,
+                "error": error,
+            }
+        )
     if args.json:
-        print(json.dumps(rows, indent=2))
+        # json.dumps(rows, indent=2) byte for byte, from the C encoder (indent
+        # selects the pure-Python one).  Rows are flat, so the separator
+        # indents their items; "},\n    {" is then a row boundary, because an
+        # encoded string never holds a raw newline, and gets the list indent.
+        body = _ROW_ENCODER.encode(rows)[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
+        print("[\n  {\n    " + body + "\n  }\n]" if rows else "[]")
     else:
         writer = csv.DictWriter(
             sys.stdout,

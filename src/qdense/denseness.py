@@ -36,7 +36,7 @@ NotDense certificates and their JSON form live in `certificates`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import combinations
 from math import gcd
 
@@ -79,37 +79,38 @@ NOT_DENSE = "NotDense"
 INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True, eq=True)
-class RuleApplication:
-    rule: str
-    statement: str
-    params: dict = field(default_factory=dict)
+class RuleApplication(namedtuple("RuleApplication", "rule statement params")):
+    """One trace entry; every entry gets its own params dict."""
+
+    __slots__ = ()
+
+    def __new__(cls, rule, statement, params=None):
+        return tuple.__new__(cls, (rule, statement, {} if params is None else params))
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: str
-    trace: tuple
-    certificate: object = None
+class Verdict(namedtuple("Verdict", "status trace certificate")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.status not in (DENSE, NOT_DENSE, INCONCLUSIVE):
-            raise ValueError(f"unknown status {self.status!r}")
-        if self.status == NOT_DENSE and self.certificate is None:
+    def __new__(cls, status, trace, certificate=None):
+        if status not in (DENSE, NOT_DENSE, INCONCLUSIVE):
+            raise ValueError(f"unknown status {status!r}")
+        if status == NOT_DENSE and certificate is None:
             raise ValueError("NotDense verdicts must carry a certificate")
-        if self.status in (DENSE, NOT_DENSE) and not self.trace:
+        if status != INCONCLUSIVE and not trace:
             raise ValueError("conclusive verdicts must cite at least one rule")
+        return tuple.__new__(cls, (status, trace, certificate))
 
     @property
     def rules_fired(self) -> tuple:
-        return tuple(entry.rule for entry in self.trace)
+        return tuple([entry.rule for entry in self.trace])
 
     @property
     def deciding_rule(self) -> str:
         """The highest-numbered rule in the trace ("" if it is empty).  An R5
         trace ends with the R1 entries of its dense subform, so the last
-        entry does not name the deciding rule."""
-        return max(self.rules_fired, key=lambda rule: int(rule[1:]), default="")
+        entry does not name the deciding rule.  The ids R1-R6 have one
+        digit, so the highest is also the greatest string."""
+        return max([entry.rule for entry in self.trace], default="")
 
 
 def difference_cover_check(residues, n: int):
@@ -121,7 +122,7 @@ def difference_cover_check(residues, n: int):
     if not residues:
         raise ValueError("need at least one residue")
     diffs = {(x - y) % n for x in residues for y in residues}
-    missing = sorted(set(range(n)) - diffs)
+    missing = [c for c in range(n) if c not in diffs]
     return not missing, missing
 
 
@@ -156,130 +157,112 @@ def decide_binary(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdic
     if form.n < 3:
         raise UnsupportedDegree("binary decision rules require degree n >= 3")
     p = as_prime(p)
-    M = stabilization_exponent(form.n, p)
-    return _decide_pair(form.n, p, M, *normalize_binary(form, p), budget)
+    n, M = form.n, stabilization_exponent(form.n, p)
+    delta, la, lb = normalize_binary(form, p)
+    status, closing = _decide_pair(n, p, M, delta, la, lb, budget)
+    certificate = None
+    if status == NOT_DENSE:
+        params = closing.params
+        certificate = (
+            ResidueGap(p=p, n=n, unit_class=params["m"], modulus_exponent=1)
+            if "m" in params
+            else ValuationGap(p=p, n=n, forbidden=frozenset(params["forbidden"]))
+        )
+    return Verdict(status, _r1_trace(n, M, delta, la, lb, closing), certificate)
 
 
-def _decide_pair(n, p, M, delta, la, lb, budget) -> Verdict:
-    """R1 from the normalize step on, for p^delta*la*x^n + lb*y^n (units la, lb)."""
-    d = delta % n
-    pM = p**M
-    trace = [
+def _r1_trace(n, M, delta, la, lb, closing) -> tuple:
+    """R1's trace: the normalize step, then the entry that closed the decision."""
+    return (
         RuleApplication(
             "R1",
             "normalize: scaling the form by a constant and substituting "
             "x -> p^t x both preserve the quotient set, so only "
             "delta = v_p(a) - v_p(b) mod n and the unit cofactors matter",
-            {"delta": delta, "delta_class": d, "units": [la, lb], "M": M},
-        )
-    ]
+            {"delta": delta, "delta_class": delta % n, "units": [la, lb], "M": M},
+        ),
+        closing,
+    )
+
+
+def _decide_pair(n, p, M, delta, la, lb, budget) -> tuple:
+    """R1 after the normalize step, for p^delta*la*x^n + lb*y^n (units la, lb):
+    (status, closing entry).  A NotDense entry's params name its certificate:
+    `forbidden` valuation classes, or a unit `m` missed mod p."""
+    d = delta % n
+    pM = p**M
 
     if d == 0:
         m0 = (-inverse_mod(la % pM, pM) * lb) % pM
         if is_nth_power_residue(m0, n, p, M):
-            trace.append(
-                RuleApplication(
-                    "R1",
-                    "the unit ratio -la^{-1}*lb is an nth-power residue mod "
-                    "p^M, hence an nth power of a p-adic unit (residue "
-                    "status stabilizes from exponent M on, and Newton "
-                    "lifting supplies the exact root); x^n + (la^{-1}lb)y^n "
-                    "then has a simple p-adic root and its values fill "
-                    "every ball around every target",
-                    {"m0": m0, "M": M},
-                )
+            return DENSE, RuleApplication(
+                "R1",
+                "the unit ratio -la^{-1}*lb is an nth-power residue mod "
+                "p^M, hence an nth power of a p-adic unit (residue "
+                "status stabilizes from exponent M on, and Newton "
+                "lifting supplies the exact root); x^n + (la^{-1}lb)y^n "
+                "then has a simple p-adic root and its values fill "
+                "every ball around every target",
+                {"m0": m0, "M": M},
             )
-            return Verdict(DENSE, tuple(trace))
         offsets = _cancellation_offsets(m0, n, p, M, budget)
         covers, missing = difference_cover_check(offsets, n)
         if not covers:
-            trace.append(
-                RuleApplication(
-                    "R1",
-                    "the unit ratio m0 is not an nth-power residue mod p^M, "
-                    "so cancellation between the two monomials stops at the "
-                    "listed depths; value valuations lie in nZ + offsets and "
-                    "quotient valuations miss the forbidden classes entirely, "
-                    "while a dense set must realize every integer valuation",
-                    {
-                        "m0": m0,
-                        "M": M,
-                        "offsets": sorted(offsets),
-                        "forbidden": missing,
-                    },
-                )
-            )
-            return Verdict(
-                NOT_DENSE,
-                tuple(trace),
-                ValuationGap(p=p, n=n, forbidden=frozenset(missing)),
+            return NOT_DENSE, RuleApplication(
+                "R1",
+                "the unit ratio m0 is not an nth-power residue mod p^M, "
+                "so cancellation between the two monomials stops at the "
+                "listed depths; value valuations lie in nZ + offsets and "
+                "quotient valuations miss the forbidden classes entirely, "
+                "while a dense set must realize every integer valuation",
+                {"m0": m0, "M": M, "offsets": sorted(offsets), "forbidden": missing},
             )
         # Offsets cover Z/n: only possible for p = n = 3.  The depth-1
         # cancellation level has a unit Newton derivative in the free
         # parameter, so its unit classes saturate and every ball is hit.
         if (p, n) != (3, 3):
             raise AssertionError("offset saturation outside p = n = 3")
-        trace.append(
-            RuleApplication(
-                "R1",
-                "cancellation-depth saturation: the offsets realize every "
-                "valuation class mod n, and at depth-1 cancellation the "
-                "value unit parts fill all residues at every precision "
-                "(the correction term has a unit derivative, so a Newton "
-                "parameter solves for any target digit stream)",
-                {"m0": m0, "M": M, "offsets": sorted(offsets)},
-            )
+        return DENSE, RuleApplication(
+            "R1",
+            "cancellation-depth saturation: the offsets realize every "
+            "valuation class mod n, and at depth-1 cancellation the "
+            "value unit parts fill all residues at every precision "
+            "(the correction term has a unit derivative, so a Newton "
+            "parameter solves for any target digit stream)",
+            {"m0": m0, "M": M, "offsets": sorted(offsets)},
         )
-        return Verdict(DENSE, tuple(trace))
 
     # n does not divide delta.
     covers, missing = difference_cover_check({0, d}, n)
     if not covers:
-        trace.append(
-            RuleApplication(
-                "R1",
-                "the two monomials always have distinct valuations mod n, "
-                "so no cancellation ever occurs: value valuations lie in "
-                "(nZ) u (d + nZ) exactly and quotient valuations cover only "
-                "{0, d, -d} mod n",
-                {"d": d, "forbidden": missing},
-            )
-        )
-        return Verdict(
-            NOT_DENSE,
-            tuple(trace),
-            ValuationGap(p=p, n=n, forbidden=frozenset(missing)),
+        return NOT_DENSE, RuleApplication(
+            "R1",
+            "the two monomials always have distinct valuations mod n, "
+            "so no cancellation ever occurs: value valuations lie in "
+            "(nZ) u (d + nZ) exactly and quotient valuations cover only "
+            "{0, d, -d} mod n",
+            {"d": d, "forbidden": missing},
         )
     # n == 3 with d in {1, 2}: valuations cover Z/3, so units decide.
     m = _smallest_non_residue(n, p)
     if m is not None:
-        trace.append(
-            RuleApplication(
-                "R1",
-                "every valuation-zero quotient is a ratio of values from "
-                "non-cancelling levels, hence congruent mod p to a ratio of "
-                "nth powers; m is not an nth-power residue mod p, so the "
-                "ball around m at valuation zero is never hit",
-                {"d": d, "m": m},
-            )
-        )
-        return Verdict(
-            NOT_DENSE,
-            tuple(trace),
-            ResidueGap(p=p, n=n, unit_class=m, modulus_exponent=1),
-        )
-    trace.append(
-        RuleApplication(
+        return NOT_DENSE, RuleApplication(
             "R1",
-            "valuation classes {0, d, -d} cover Z/3 and every unit is an "
-            "nth-power residue mod p, so one valuation level has saturated "
-            "unit classes (for p != 3 all units are nth powers outright; "
-            "for p = 3 the p^1-level perturbation term has a unit Newton "
-            "derivative) and every ball is hit",
-            {"d": d},
+            "every valuation-zero quotient is a ratio of values from "
+            "non-cancelling levels, hence congruent mod p to a ratio of "
+            "nth powers; m is not an nth-power residue mod p, so the "
+            "ball around m at valuation zero is never hit",
+            {"d": d, "m": m},
         )
+    return DENSE, RuleApplication(
+        "R1",
+        "valuation classes {0, d, -d} cover Z/3 and every unit is an "
+        "nth-power residue mod p, so one valuation level has saturated "
+        "unit classes (for p != 3 all units are nth powers outright; "
+        "for p = 3 the p^1-level perturbation term has a unit Newton "
+        "derivative) and every ball is hit",
+        {"d": d},
     )
-    return Verdict(DENSE, tuple(trace))
 
 
 def _smallest_non_residue(n: int, p: int):
@@ -430,9 +413,10 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
             # R1 rules such a pair NotDense by {0, d, -d} alone; R5 needs Dense.
             if n >= 4 and classes[i] != classes[j]:
                 continue
+            delta = vals[i] - vals[j]
             try:
-                sub = _decide_pair(
-                    n, p, M, vals[i] - vals[j], units[i], units[j], budget
+                status, closing = _decide_pair(
+                    n, p, M, delta, units[i], units[j], budget
                 )
             except BudgetExceeded:
                 trace.append(
@@ -443,7 +427,7 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
                     )
                 )
                 continue
-            if sub.status == DENSE:
+            if status == DENSE:
                 trace.append(
                     RuleApplication(
                         "R5",
@@ -456,7 +440,7 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
                         },
                     )
                 )
-                trace.extend(sub.trace)
+                trace += _r1_trace(n, M, delta, units[i], units[j], closing)
                 return Verdict(DENSE, tuple(trace))
 
     summary_note = (

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DEFAULT_BUDGET, BudgetExceeded, DimensionMismatch, NotFound
 from .padic import as_prime, split_power
@@ -27,7 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DiagonalForm:
     """Degree-n diagonal form with nonzero integer coefficients; a float or
     string degree or coefficient raises TypeError, it is never truncated."""
@@ -35,17 +36,16 @@ class DiagonalForm:
     n: int
     coeffs: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", operator.index(self.n))
-        object.__setattr__(
-            self, "coeffs", tuple(operator.index(a) for a in self.coeffs)
-        )
-        if self.n < 2:
+    def __init__(self, n, coeffs):
+        n, coeffs = operator.index(n), tuple(map(operator.index, coeffs))
+        if n < 2:
             raise ValueError("degree must be >= 2")
-        if not self.coeffs:
+        if not coeffs:
             raise ValueError("need at least one coefficient")
-        if any(a == 0 for a in self.coeffs):
+        if 0 in coeffs:
             raise ValueError("coefficients must be nonzero")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def r(self) -> int:
@@ -149,8 +149,7 @@ def find_nonsingular_zero_mod_p(form: DiagonalForm, p, budget: int = DEFAULT_BUD
     raise NotFound(f"no non-singular zero of {form} over F_{p}")
 
 
-@dataclass(frozen=True)
-class ValuationProfile:
+class ValuationProfile(NamedTuple):
     """Coefficient valuations, their classes mod n and unit cofactors.
     When the classes are pairwise distinct they are exactly the attainable
     value valuations mod n."""
@@ -168,13 +167,7 @@ def valuation_profile(form: DiagonalForm, p) -> ValuationProfile:
     valuation, so the ultrametric minimum is always attained exactly and
     v_p(F(x)) mod n ranges over precisely {v_p(a_i) mod n}.
     """
-    p = as_prime(p)
-    splits = [split_power(a, p) for a in form.coeffs]
-    vals = tuple(alpha for alpha, _ in splits)
-    residues = tuple(alpha % form.n for alpha in vals)
-    return ValuationProfile(
-        valuations=vals,
-        residues=residues,
-        pairwise_distinct=len(set(residues)) == len(residues),
-        unit_parts=tuple(u for _, u in splits),
-    )
+    p, n = as_prime(p), form.n
+    vals, units = zip(*[split_power(a, p) for a in form.coeffs])
+    residues = tuple([alpha % n for alpha in vals])
+    return ValuationProfile(vals, residues, len(set(residues)) == len(vals), units)

@@ -53,7 +53,12 @@ def _is_prime(n: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _certified(p: int) -> int:
+def as_prime(p) -> int:
+    """p itself, once a deterministic primality test has certified it.
+
+    Raises TypeError for a non-int and ValueError for a non-prime or for
+    p >= 2^64.
+    """
     if not isinstance(p, int):
         raise TypeError(f"prime must be an int, got {type(p).__name__}")
     if p >= _MAX_PRIME:
@@ -61,15 +66,6 @@ def _certified(p: int) -> int:
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     return p
-
-
-def as_prime(p) -> int:
-    """p itself, once a deterministic primality test has certified it.
-
-    Raises TypeError for a non-int and ValueError for a non-prime or for
-    p >= 2^64.
-    """
-    return _certified(p)
 
 
 def split_power(x: int, p: int):

@@ -251,6 +251,83 @@ def test_survey_empty_input(tmp_path, capsys):
     assert out.strip().splitlines()[0].startswith("n,coeffs,p,status")
 
 
+SURVEY_MIX = (
+    '{"n": 3, "coeffs": [1, 1], "p": 3}\n'
+    '{"n": 3, "coeffs": [1, 2], "p": 7}\n'
+    '{"n": 3, "coeffs": [1, 21], "p": 7}\n'
+    '{"n": 2, "coeffs": [1, -1], "p": 5}\n'
+    '{"n": 4, "coeffs": [1, -1, 3], "p": 5}\n'
+    '{"n": 1, "coeffs": [1, 1], "p": 3}\n'
+    '{"n": 3, "coeffs": [0, 5], "p": 5}\n'
+    '{"n": 3, "coeffs": [1, 1], "p": 4}\n'
+)
+
+
+def test_survey_json_is_indent_2_bytes(tmp_path, capsys):
+    """`survey --json` prints exactly json.dumps(rows, indent=2), here over
+    Dense, NotDense (both certificate kinds), Inconclusive and error rows."""
+    path = tmp_path / "mix.jsonl"
+    path.write_text(SURVEY_MIX)
+    assert main(["survey", "--input", str(path), "--json"]) == 0
+    out = capsys.readouterr().out
+    rows = json.loads(out)
+    assert out == json.dumps(rows, indent=2) + "\n"
+    assert [(r["status"], r["rule"], r["certificate"]) for r in rows[:5]] == [
+        ("Dense", "R1", ""),
+        ("NotDense", "R1", "ValuationGap"),
+        ("NotDense", "R1", "ResidueGap"),
+        ("Inconclusive", "R6", ""),
+        ("Dense", "R5", ""),
+    ]
+    assert all(r["error"] and not r["status"] for r in rows[5:])
+
+
+def test_survey_csv_bytes(tmp_path, capsys):
+    path = tmp_path / "mix.jsonl"
+    path.write_text(SURVEY_MIX)
+    assert main(["survey", "--input", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "n,coeffs,p,status,rule,certificate,error\r\n"
+        '3,"1,1",3,Dense,R1,,\r\n'
+        '3,"1,2",7,NotDense,R1,ValuationGap,\r\n'
+        '3,"1,21",7,NotDense,R1,ResidueGap,\r\n'
+        '2,"1,-1",5,Inconclusive,R6,,\r\n'
+        '4,"1,-1,3",5,Dense,R5,,\r\n'
+        '1,"1,1",3,,,,degree must be >= 2\r\n'
+        '3,"0,5",5,,,,coefficients must be nonzero\r\n'
+        '3,"1,1",4,,,,4 is not prime\r\n'
+    )
+
+
+def test_survey_empty_input_json(tmp_path, capsys):
+    path = tmp_path / "empty.jsonl"
+    path.write_text("\n")
+    assert main(["survey", "--input", str(path), "--json"]) == 0
+    assert capsys.readouterr().out == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "grid, budget, code",
+    [
+        (["--n-list", "3", "--p-list", "5", "--coeff-range", "-100", "100",
+          "--vars", "4"], "1000", 65),
+        (["--n-list", "3", "--p-list", "5", "--coeff-range", "-100", "100",
+          "--vars", "1000000000"], "1000", 65),
+        (["--n-list", "3,4", "--p-list", "7", "--coeff-range", "-1", "1"], "8", 0),
+        (["--n-list", "3,4", "--p-list", "7", "--coeff-range", "-1", "1"], "7", 65),
+        (["--n-list", "3", "--p-list", "7", "--coeff-range", "1", "1",
+          "--vars", "1000000000"], "0", 65),
+    ],
+)
+def test_survey_grid_is_charged_to_the_budget(grid, budget, code, capsys):
+    """|n-list|*|p-list|*|coeffs|^vars forms over the budget exit 65 before
+    any form is decided, so an oversized grid is never built."""
+    assert main(["survey", *grid, "--budget", budget]) == code
+    captured = capsys.readouterr()
+    assert ("exceeds budget" in captured.err) == (code == 65)
+    assert bool(captured.out) == (code == 0)
+
+
 def test_survey_row_error_recorded(tmp_path, capsys):
     path = tmp_path / "bad.jsonl"
     path.write_text(

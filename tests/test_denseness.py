@@ -454,6 +454,15 @@ def test_not_dense_requires_certificate():
         Verdict(DENSE, ())
 
 
+def test_rule_params_are_never_shared():
+    from qdense.denseness import RuleApplication
+
+    first, second = RuleApplication("R6", "x"), RuleApplication("R6", "x")
+    assert first.params == {} and first.params is not second.params
+    first.params["k"] = 1
+    assert second.params == {}
+
+
 # ---------------------------------------------------------------------------
 # threshold family (small slice; the full sweep is in acceptance)
 # ---------------------------------------------------------------------------

@@ -3,14 +3,18 @@ neither the oracle nor the certificate module imports the rule engine, and
 the rule engine imports nothing from the oracle, so the oracle is evidence
 independent of the engine whose certificates it checks.  Every exported
 name is bound, every docstring example runs, and every function the
-benchmark tracer wraps exists."""
+benchmark tracer wraps exists and is labelled with the verdict's own
+deciding rule."""
 
 import ast
 import doctest
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
+
+from qdense import DiagonalForm, decide
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qdense"
 MODULES = sorted(SRC.glob("*.py"))
@@ -98,20 +102,19 @@ def test_package_reexports_match_all():
             assert sorted(names) == sorted(module.__all__), node.module
 
 
-def _tracer_targets():
-    """perfbench/tracer.py's TARGETS tuple, read as a literal, not imported."""
-    tree = ast.parse((SRC.parent.parent / "perfbench" / "tracer.py").read_text())
-    for node in tree.body:
-        if isinstance(node, ast.Assign):
-            if getattr(node.targets[0], "id", "") == "TARGETS":
-                return ast.literal_eval(node.value)
-    raise AssertionError("perfbench/tracer.py defines no TARGETS")
+def _load_tracer():
+    """perfbench/tracer.py, loaded by path; it imports only the stdlib."""
+    path = SRC.parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
 
 
 def test_tracer_targets_resolve():
     """Every function the benchmark tracer wraps exists, so renaming one in
     src/ fails here instead of breaking `perfbench/run.py --trace 1`."""
-    targets = _tracer_targets()
+    targets = _load_tracer().TARGETS
     assert targets, "the tracer names no targets"
     missing = [
         f"{module}.{attr}"
@@ -119,3 +122,13 @@ def test_tracer_targets_resolve():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert not missing, f"tracer targets that do not resolve: {missing}"
+
+
+def test_tracer_deciding_rule_matches_verdicts():
+    """The tracer labels each decide span with its own deciding_rule; it must
+    agree with Verdict.deciding_rule, R5 traces (which end in R1) included."""
+    tracer = _load_tracer()
+    for n, coeffs, p in [(4, (1, -1, 3), 5), (3, (1, 2), 7), (2, (1, -1), 5),
+                         (3, (1, 1, 1), 7), (5, (1, 1, 2), 7), (2, (1, 1), 3)]:
+        verdict = decide(DiagonalForm(n, coeffs), p)
+        assert tracer.deciding_rule(verdict) == verdict.deciding_rule
