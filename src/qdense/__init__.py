@@ -29,7 +29,6 @@ from .errors import (
     NotFound,
     NotInvertible,
     ParameterMismatch,
-    PreconditionFailed,
     QdenseError,
     UnsupportedDegree,
 )
@@ -52,7 +51,6 @@ from .oracle import (
     quotient_coverage,
 )
 from .padic import (
-    hensel_lift_root,
     inverse_mod,
     valuation,
 )

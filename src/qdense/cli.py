@@ -30,7 +30,7 @@ from .denseness import (
 from .errors import DEFAULT_BUDGET, BudgetExceeded, NoRoot, QdenseError
 from .forms import DiagonalForm, is_anisotropic_mod_p
 from .oracle import check_certificate, quotient_coverage
-from .padic import valuation
+from .padic import as_prime, valuation
 from .residues import nth_power_residues, nth_root_in_Zp
 
 EXIT_BY_STATUS = {DENSE: 0, NOT_DENSE: 1, INCONCLUSIVE: 2}
@@ -234,22 +234,33 @@ def cmd_lift(args) -> int:
         raise ValueError(f"cannot parse rational {args.c!r}") from None
     if c == 0:
         raise ValueError("c must be nonzero")
+    # The root and modulus are printed in decimal, which Python refuses past
+    # its int-to-str digit limit (0 or absent before 3.10.7: none).  p >= 2
+    # has p^prec >= 2^prec > 10^limit once prec > 4*limit, so only smaller
+    # powers are built for the exact test.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    p = as_prime(args.p)
+    if limit and (args.prec > 4 * limit or p**args.prec >= 10**limit):
+        raise ValueError(
+            f"--prec {args.prec}: {p}^{args.prec} has more than {limit} digits, "
+            "past Python's int-to-str limit"
+        )
     try:
-        if valuation(c, args.p) < 0:
-            raise NoRoot(f"x^{args.n} = {c} has no solution in Z_{args.p}")
-        root = nth_root_in_Zp(c, args.n, args.p, args.prec, budget=_budget(args))
+        if valuation(c, p) < 0:
+            raise NoRoot(f"x^{args.n} = {c} has no solution in Z_{p}")
+        root = nth_root_in_Zp(c, args.n, p, args.prec, budget=_budget(args))
     except NoRoot as exc:
         print(f"NoRoot: {exc}", file=sys.stderr)
         return 1
-    modulus = args.p**args.prec
+    modulus = p**args.prec
     if args.json:
         print(
             json.dumps(
-                {"root": root, "modulus": modulus, "p": args.p, "prec": args.prec}
+                {"root": root, "modulus": modulus, "p": p, "prec": args.prec}
             )
         )
     else:
-        print(f"x = {root}  (x^{args.n} = {c} mod {args.p}^{args.prec})")
+        print(f"x = {root}  (x^{args.n} = {c} mod {p}^{args.prec})")
     return 0
 
 

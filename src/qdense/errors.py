@@ -16,10 +16,6 @@ class NotInvertible(QdenseError, ValueError):
     """gcd(a, modulus) > 1, so no modular inverse exists."""
 
 
-class PreconditionFailed(QdenseError, ValueError):
-    """Newton lifting requires |f(x0)|_p < |f'(x0)|_p^2 at the start point."""
-
-
 class NotAUnit(QdenseError, ValueError):
     """Residue operations require an argument coprime to p."""
 

@@ -224,8 +224,8 @@ def enumerate_values(
         raise BudgetExceeded(
             f"({2*B+1})^{form.r} box points exceed budget {budget}"
         )
-    pK = p**K
-    if pK > budget:
+    # p >= 2, so p^K > budget once K > budget.bit_length(): no need to build it.
+    if K > budget.bit_length() or (pK := p**K) > budget:
         raise BudgetExceeded(f"residue bitmask mod {p}^{K} exceeds budget {budget}")
     n = form.n
     odd = n % 2
@@ -401,15 +401,13 @@ def quotient_coverage(
 ) -> CoverageReport:
     """Enumerate, quotient, and measure per-level unit-class coverage.
 
-    The units mod p^K are listed too, so p^K counts against the budget.
+    The units mod p^K are listed too; enumerate_values has already charged
+    p^K against the budget.
     """
     p = as_prime(p)
-    pK = p**K
-    if pK > budget:
-        raise BudgetExceeded(f"enumerating units mod {p}^{K} exceeds budget {budget}")
     values = enumerate_values(form, p, B, K, budget)
     quotients = _quotient_map(values, V)
-    units = [u for u in range(1, pK) if u % p]
+    units = [u for u in range(1, p**K) if u % p]
     per_level = {v: set() for v in range(-V, V + 1)}
     for v, u in quotients.hits:
         per_level[v].add(u)

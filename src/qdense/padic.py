@@ -1,8 +1,7 @@
 """Exact p-adic building blocks.
 
-Valuations and unit residues of nonzero rationals, modular arithmetic
-helpers, and Newton lifting of simple polynomial roots to prime-power
-moduli.
+Valuations and unit residues of nonzero rationals, primality
+certification and modular inverses.
 
 Everything here is a pure function on immutable values, so all operations
 are safe to call concurrently.  Rationals are plain ``fractions.Fraction``
@@ -12,17 +11,15 @@ exactly the invariant a dedicated rational type would enforce).
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .errors import NotInvertible, PreconditionFailed
+from .errors import NotInvertible
 
 __all__ = [
     "valuation",
     "inverse_mod",
-    "hensel_lift_root",
 ]
 
 # Witness bases making Miller-Rabin a deterministic primality test for all
@@ -113,60 +110,3 @@ def unit_residue(x, p, K: int) -> int:
     u = x / Fraction(p) ** v
     pK = p**K
     return u.numerator * inverse_mod(u.denominator, pK) % pK
-
-
-def poly_eval(coeffs, x: int, modulus: int | None = None) -> int:
-    """Evaluate a polynomial given by ascending coefficients, by Horner."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-        if modulus:
-            acc %= modulus
-    return acc
-
-
-def poly_derivative(coeffs):
-    return [i * c for i, c in enumerate(coeffs)][1:]
-
-
-def hensel_lift_root(poly, p, x0: int, K: int) -> int:
-    """Lift an approximate simple root of an integer polynomial to mod p^K.
-
-    Requires the Newton inequality |f(x0)|_p < |f'(x0)|_p^2; raises
-    PreconditionFailed otherwise.  Returns the x in [0, p^K - 1] with
-    f(x) == 0 (mod p^K) determined by x0, computed by Newton steps at
-    doubling precision.
-
-    >>> hensel_lift_root([-2, 0, 1], 7, 3, 2)   # x^2 - 2 near 3, mod 49
-    10
-    """
-    p = as_prime(p)
-    if K < 1:
-        raise ValueError("precision K must be >= 1")
-    coeffs = [operator.index(c) for c in poly]
-    deriv = poly_derivative(coeffs)
-    f0, d0 = poly_eval(coeffs, x0), poly_eval(deriv, x0)
-    # An exact root f(x0) == 0 meets the inequality; f'(x0) == 0 never does.
-    if d0 == 0 or (f0 != 0 and valuation(f0, p) <= 2 * valuation(d0, p)):
-        raise PreconditionFailed(
-            f"need v(f(x0)) > 2*v(f'(x0)); got f(x0)={f0}, f'(x0)={d0}"
-        )
-    t = valuation(d0, p)
-    # Work modulus: enough headroom that the final reduction mod p^K is exact.
-    work = p ** (K + 2 * t + 1)
-    pt = p**t
-    x = x0 % work
-    # Each step at least doubles v(f(x)) - 2t; stop once the root is pinned
-    # mod p^K, i.e. v(f(x)) >= K + t.
-    for _ in range(K.bit_length() + K + 2):
-        fx = poly_eval(coeffs, x, work)
-        if fx == 0 or valuation(fx, p) >= K + t:
-            break
-        dx = poly_eval(deriv, x, work)
-        # f/f' = (f/p^t) * (f'/p^t)^{-1}: the unit part of f' is inverted
-        # exactly, the p^t factors cancel.
-        step = (fx // pt) * inverse_mod((dx // pt) % work, work) % work
-        x = (x - step) % work
-    else:
-        raise PreconditionFailed("Newton iteration failed to converge")
-    return x % p**K

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .padic import (
     as_prime,
-    hensel_lift_root,
+    inverse_mod,
     split_power,
     unit_residue,
     valuation,
@@ -54,8 +54,8 @@ def stabilization_exponent(n: int, p) -> int:
 
 @lru_cache(maxsize=4096)
 def _residue_members(n: int, p: int, M: int, budget: int) -> frozenset:
-    pM = p**M
-    if pM > budget:
+    # p >= 2, so p^M > budget once M > budget.bit_length(): no need to build it.
+    if M > budget.bit_length() or (pM := p**M) > budget:
         raise BudgetExceeded(f"enumerating units mod {p}^{M} exceeds budget {budget}")
     return frozenset(pow(a, n, pM) for a in range(1, pM) if a % p)
 
@@ -117,9 +117,10 @@ def is_nth_power_in_Zp(c, n: int, p) -> bool:
 def nth_root_in_Zp(c, n: int, p, K: int, budget: int = DEFAULT_BUDGET) -> int:
     """A residue x mod p^K with x^n == c (mod p^K), for c an nth power in Z_p.
 
-    Locates a starting root of y^n = unit(c) by enumeration at a depth
+    Locates a starting root y of y^n = unit(c) by enumeration at a depth E
     deep enough for the Newton inequality (max of M + 1 and 2*v_p(n) + 1),
-    then lifts.  Raises NoRoot when c is not an nth power in Z_p.
+    then lifts it by Newton steps on f(y) = y^n - unit(c).  Raises NoRoot
+    when c is not an nth power in Z_p.
     """
     p = as_prime(p)
     if not is_nth_power_in_Zp(c, n, p):
@@ -129,20 +130,29 @@ def nth_root_in_Zp(c, n: int, p, K: int, budget: int = DEFAULT_BUDGET) -> int:
     if v >= K:
         # c == 0 mod p^K already; p^ceil(K/n) is the canonical root.
         return pow(p, (K + n - 1) // n, p**K)
-    E = max(stabilization_exponent(n, p) + 1, 2 * split_power(n, p)[0] + 1)
-    target = unit_residue(c, p, max(K - v, E))
+    t, m = split_power(n, p)
+    E = max(stabilization_exponent(n, p) + 1, 2 * t + 1)
+    k = K - v
+    target = unit_residue(c, p, max(k, E))
     start_mod = p**E
     if start_mod > budget:
         raise BudgetExceeded(f"start enumeration mod {p}^{E} exceeds budget")
-    start = next(
-        (
-            y
-            for y in range(1, start_mod)
-            if y % p and pow(y, n, start_mod) == target % start_mod
-        ),
-        None,
-    )
-    if start is None:
+    # target is a unit, so no multiple of p can match it.
+    goal = target % start_mod
+    y = next((y for y in range(1, start_mod) if pow(y, n, start_mod) == goal), None)
+    if y is None:
         raise AssertionError("stabilized residue test promised a starting root")
-    root = hensel_lift_root([-target] + [0] * (n - 1) + [1], p, start, K - v)
-    return root * p ** (v // n) % p**K
+    # At a unit y, f'(y) = n*y^(n-1) has valuation t = v_p(n), and
+    # v(f(y)) >= E > 2t.  Each step y -= (f/p^t) / (m*y^(n-1)) at least
+    # doubles v(f(y)) - 2t >= 1, so by step k.bit_length() v(f(y)) >= k + t
+    # and the root is pinned mod p^k.  Working mod p^(k+2t+1) keeps that
+    # final reduction exact.
+    work, pt = p ** (k + 2 * t + 1), p**t
+    for _ in range(k.bit_length() + 1):
+        fy = (pow(y, n, work) - target) % work
+        if fy % p ** (k + t) == 0:
+            break
+        y = (y - fy // pt * inverse_mod(m * pow(y, n - 1, work), work)) % work
+    else:
+        raise AssertionError("Newton lift of a stabilized root did not converge")
+    return y % p**k * p ** (v // n) % p**K

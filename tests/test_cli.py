@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,8 @@ def test_decide_usage_error_exit_64(capsys):
         (["oracle", "--n", "3", "--coeffs", "1,1", "--p", "11", "--box", "1", "--K", "3",
           "--budget", "1000"], 65),
         (["survey", "--n-list", "3,x", "--p-list", "7", "--coeff-range", "1", "2"], 64),
+        (["oracle", "--n", "3", "--coeffs", "1,2", "--p", "13", "--box", "1",
+          "--K", "30000000"], 65),
     ],
 )
 def test_bad_input_fails_closed(argv, code, capsys):
@@ -374,6 +377,35 @@ def test_lift_fractional_input(capsys):
     assert code == 0
     x = out["root"]
     assert x**3 * 27 % 5**6 == 8 % 5**6
+
+
+@pytest.fixture
+def default_int_digit_limit():
+    """Python's default int-to-str limit of 4300 digits, whatever the
+    interpreter was started with."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_lift_precision_stops_at_the_int_digit_limit(
+    fmt, default_int_digit_limit, capsys
+):
+    # 5^6151 has 4300 decimal digits and 5^6152 has 4301, one past the limit;
+    # --prec 80000 took 42 s to lift before failing to print.
+    argv = ["lift", "--c", "2", "--n", "3", "--p", "5"] + fmt
+    assert main(argv + ["--prec", "6151"]) == 0
+    out = capsys.readouterr().out
+    root = json.loads(out)["root"] if fmt else int(out.split()[2])
+    assert pow(root, 3, 5**6151) == 2
+    for prec in ("6152", "80000"):
+        assert main(argv + ["--prec", prec]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"--prec {prec}" in captured.err
 
 
 # ---------------------------------------------------------------------------

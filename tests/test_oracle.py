@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,17 @@ def test_enumerate_values_counts_residue_bitmask_against_budget():
     # p^K fails closed even for a tiny box.
     with pytest.raises(BudgetExceeded):
         enumerate_values(DiagonalForm(3, (1, 1)), 2, B=1, K=40)
+
+
+def test_budget_checked_before_building_p_to_the_K():
+    # 13^(10^9) would take minutes to build; K alone already exceeds the budget.
+    form = DiagonalForm(3, (1, 2))
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        enumerate_values(form, 13, B=1, K=10**9)
+    with pytest.raises(BudgetExceeded):
+        quotient_coverage(form, 13, B=1, K=10**9, V=3)
+    assert time.perf_counter() - start < 1
 
 
 def test_witness_integrity():

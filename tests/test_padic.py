@@ -3,12 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from qdense.errors import NotInvertible, PreconditionFailed
+from qdense.errors import NotInvertible
 from qdense.padic import (
     as_prime,
-    hensel_lift_root,
     inverse_mod,
-    poly_eval,
     split_power,
     unit_residue,
     valuation,
@@ -98,66 +96,6 @@ def test_inverse_mod_property():
             continue
         x = inverse_mod(a, m)
         assert 1 <= x < m and a * x % m == 1
-
-
-# ---------------------------------------------------------------------------
-# Hensel lifting
-# ---------------------------------------------------------------------------
-
-
-def test_hensel_examples():
-    assert hensel_lift_root([-2, 0, 1], 7, 3, 2) == 10  # 10^2 = 100 = 2 mod 49
-    assert hensel_lift_root([-6, 0, 0, 1], 7, 3, 1) == 3  # 3^3 = 27 = 6 mod 7
-    assert hensel_lift_root([-1, 0, 0, 0, 0, 1], 7, 1, 10) == 1  # exact root
-    with pytest.raises(PreconditionFailed):
-        hensel_lift_root([-2, 0, 1], 2, 0, 3)  # f(0) = -2, f'(0) = 0
-    with pytest.raises(TypeError):
-        hensel_lift_root([-2.5, 0, 1], 7, 3, 2)  # coefficients must be ints
-
-
-def test_hensel_residuals_random_polys():
-    rng = random.Random(4242)
-    lifted = 0
-    while lifted < 200:
-        p = rng.choice([2, 3, 5, 7, 11, 13])
-        deg = rng.randint(2, 6)
-        coeffs = [rng.randint(-20, 20) for _ in range(deg)] + [rng.randint(1, 20)]
-        K = rng.randint(1, 64)
-        for x0 in range(p):
-            fx = poly_eval(coeffs, x0)
-            dfx = poly_eval([i * c for i, c in enumerate(coeffs)][1:], x0)
-            if fx % p == 0 and dfx % p != 0:
-                root = hensel_lift_root(coeffs, p, x0, K)
-                assert poly_eval(coeffs, root, p**K) % p**K == 0
-                assert root % p == x0 % p
-                lifted += 1
-                break
-
-
-def test_hensel_lift_then_reduce_equals_direct_lift():
-    rng = random.Random(5)
-    for _ in range(100):
-        p = rng.choice([3, 5, 7])
-        n = rng.choice([2, 3, 4])
-        w = rng.randint(1, p**3)
-        while w % p == 0:
-            w = rng.randint(1, p**3)
-        c = pow(w, n)
-        coeffs = [-c] + [0] * (n - 1) + [1]
-        K = rng.randint(5, 40)
-        Kp = rng.randint(1, K - 1)
-        # start deep enough that the Newton bound holds even when p | n
-        x0 = w % p**3
-        big = hensel_lift_root(coeffs, p, x0, K)
-        small = hensel_lift_root(coeffs, p, x0, Kp)
-        assert big % p**Kp == small
-
-
-def test_hensel_positive_derivative_valuation():
-    # x^2 - 17 over Q_2: f'(x) = 2x has valuation 1 at odd x, and
-    # f(1) = -16 has valuation 4 > 2, so the strict Newton bound holds.
-    root = hensel_lift_root([-17, 0, 1], 2, 1, 10)
-    assert pow(root, 2, 2**10) == 17 % 2**10
 
 
 def test_unit_residue():

@@ -1,9 +1,10 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from qdense.errors import NegativeValuation, NoRoot, NotAUnit
+from qdense.errors import BudgetExceeded, NegativeValuation, NoRoot, NotAUnit
 from qdense.padic import split_power
 from qdense.residues import (
     is_nth_power_in_Zp,
@@ -46,6 +47,14 @@ def test_nth_power_residues_examples():
     assert nth_power_residues(3, 7, 1) == frozenset({1, 6})
     assert nth_power_residues(3, 3, 2) == frozenset({1, 8})
     assert nth_power_residues(1, 5, 1) == frozenset({1, 2, 3, 4})
+
+
+def test_nth_power_residues_budget_checked_before_building_p_to_the_M():
+    # 13^(10^9) would take minutes to build; M alone already exceeds the budget.
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        nth_power_residues(3, 13, 10**9)
+    assert time.perf_counter() - start < 1
 
 
 def test_residue_set_closed_under_multiplication():
@@ -212,3 +221,57 @@ def test_roots_back_lifting_after_enumeration():
             x = nth_root_in_Zp(c, n, p, K)
             assert pow(x, n, p**K) == c % p**K
         found += 1
+
+
+def test_nth_root_newton_examples():
+    assert nth_root_in_Zp(2, 2, 7, 2) == 10  # 10^2 = 100 = 2 mod 49
+    assert nth_root_in_Zp(6, 3, 7, 1) == 3  # 3^3 = 27 = 6 mod 7
+    assert nth_root_in_Zp(1, 5, 7, 10) == 1  # exact root: no Newton step
+
+
+def test_nth_root_positive_derivative_valuation():
+    # x^2 = 17 over Q_2: f'(x) = 2x has valuation 1 at odd x, so each
+    # Newton step divides out that factor of 2.
+    root = nth_root_in_Zp(17, 2, 2, 10)
+    assert pow(root, 2, 2**10) == 17 % 2**10
+    assert root == 745
+
+
+def test_nth_root_lift_then_reduce_equals_direct_lift():
+    # The root is unique mod p^(K' - v_p(n)): exactly the root at K' when
+    # p does not divide n.
+    rng = random.Random(5)
+    for _ in range(100):
+        p = rng.choice([2, 3, 5, 7])
+        n = rng.choice([2, 3, 4, 6])
+        w = rng.randint(1, p**3)
+        while w % p == 0:
+            w = rng.randint(1, p**3)
+        c = pow(w, n)
+        K = rng.randint(5, 40)
+        Kp = rng.randint(1, K - 1)
+        unique = p ** max(Kp - split_power(n, p)[0], 0)
+        big, small = nth_root_in_Zp(c, n, p, K), nth_root_in_Zp(c, n, p, Kp)
+        assert big % unique == small % unique
+        if n % p:
+            assert big % p**Kp == small
+
+
+def test_nth_root_residuals_property():
+    rng = random.Random(4242)
+    divisible = 0
+    for _ in range(600):
+        p = rng.choice([2, 3, 5, 7, 11, 13])
+        n = rng.randint(1, 12)
+        if rng.random() < 0.5:
+            c = pow(rng.randint(1, 10**4), n) * p ** (n * rng.randint(0, 2))
+        else:
+            c = rng.randint(1, 10**8) * rng.choice([1, -1])
+            if c % p == 0 or not is_nth_power_in_Zp(c, n, p):
+                continue
+        K = rng.randint(1, 60)
+        x = nth_root_in_Zp(c, n, p, K)
+        assert 0 <= x < p**K
+        assert pow(x, n, p**K) == c % p**K, (c, n, p, K)
+        divisible += n % p == 0
+    assert divisible > 50  # p | n: each Newton step divides out p^v_p(n)
