@@ -20,18 +20,7 @@ from .denseness import (
     verdict_from_dict,
     verdict_to_dict,
 )
-from .errors import (
-    BudgetExceeded,
-    DimensionMismatch,
-    NegativeValuation,
-    NoRoot,
-    NotAUnit,
-    NotFound,
-    NotInvertible,
-    ParameterMismatch,
-    QdenseError,
-    UnsupportedDegree,
-)
+from .errors import BudgetExceeded, NoRoot
 from .forms import (
     DiagonalForm,
     ValuationProfile,

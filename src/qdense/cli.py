@@ -27,7 +27,7 @@ from .denseness import (
     decide,
     verdict_to_dict,
 )
-from .errors import DEFAULT_BUDGET, BudgetExceeded, NoRoot, QdenseError
+from .errors import DEFAULT_BUDGET, BudgetExceeded, NoRoot
 from .forms import DiagonalForm, is_anisotropic_mod_p
 from .oracle import check_certificate, quotient_coverage
 from .padic import as_prime, valuation
@@ -197,7 +197,7 @@ def cmd_survey(args) -> int:
             status, rule = verdict.status, verdict.deciding_rule
             if verdict.certificate is not None:
                 certificate = type(verdict.certificate).__name__
-        except (QdenseError, ValueError) as exc:
+        except (BudgetExceeded, ValueError) as exc:
             error = str(exc)
         rows.append(
             {
@@ -390,7 +390,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (QdenseError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -43,12 +43,7 @@ from math import gcd
 from .certificates import ResidueGap, ValuationGap
 from .certificates import from_dict as certificate_from_dict
 from .certificates import to_dict as certificate_to_dict
-from .errors import (
-    DEFAULT_BUDGET,
-    BudgetExceeded,
-    DimensionMismatch,
-    UnsupportedDegree,
-)
+from .errors import DEFAULT_BUDGET, BudgetExceeded
 from .forms import (
     DiagonalForm,
     find_nonsingular_zero_mod_p,
@@ -153,9 +148,9 @@ def decide_binary(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdic
     (a, b) -> (c*a, c*b) and under swapping a and b.
     """
     if form.r != 2:
-        raise DimensionMismatch("decide_binary needs exactly two coefficients")
+        raise ValueError("decide_binary needs exactly two coefficients")
     if form.n < 3:
-        raise UnsupportedDegree("binary decision rules require degree n >= 3")
+        raise ValueError("binary decision rules require degree n >= 3")
     p = as_prime(p)
     n, M = form.n, stabilization_exponent(form.n, p)
     delta, la, lb = normalize_binary(form, p)

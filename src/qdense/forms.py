@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DEFAULT_BUDGET, BudgetExceeded, DimensionMismatch, NotFound
+from .errors import DEFAULT_BUDGET, BudgetExceeded
 from .padic import as_prime, split_power
 
 __all__ = [
@@ -53,9 +53,7 @@ class DiagonalForm:
 
     def evaluate(self, point) -> int:
         if len(point) != self.r:
-            raise DimensionMismatch(
-                f"form has {self.r} variables, point has {len(point)}"
-            )
+            raise ValueError(f"form has {self.r} variables, point has {len(point)}")
         return sum(
             a * operator.index(x) ** self.n for a, x in zip(self.coeffs, point)
         )
@@ -82,7 +80,7 @@ def normalize_binary(form: DiagonalForm, p) -> tuple:
     form's quotient set is that of p^(delta mod n)*la*x^n + lb*y^n.
     """
     if form.r != 2:
-        raise DimensionMismatch("normalize_binary needs a binary form")
+        raise ValueError("normalize_binary needs a binary form")
     p = as_prime(p)
     a, b = form.coeffs
     alpha, la = split_power(a, p)
@@ -121,12 +119,11 @@ def find_nonsingular_zero_mod_p(form: DiagonalForm, p, budget: int = DEFAULT_BUD
     nonvanishing partial derivative.
 
     Existence is guaranteed whenever p != 3 and p divides no coefficient
-    (diagonal cubics then always have a non-singular zero over F_p); a
-    NotFound under those preconditions would disprove that guarantee and is
-    treated as a test failure.
+    (diagonal cubics then always have a non-singular zero over F_p).
+    Otherwise there may be none, and the search raises ValueError.
     """
     if form.r != 3 or form.n != 3:
-        raise DimensionMismatch("search is defined for ternary cubics")
+        raise ValueError("search is defined for ternary cubics")
     p = as_prime(p)
     if p**2 > budget:
         raise BudgetExceeded(f"{p}^2 search pairs exceed budget {budget}")
@@ -146,7 +143,7 @@ def find_nonsingular_zero_mod_p(form: DiagonalForm, p, budget: int = DEFAULT_BUD
                     3 * ai * vi * vi % p for ai, vi in zip(form.coeffs, vec)
                 ):
                     return vec
-    raise NotFound(f"no non-singular zero of {form} over F_{p}")
+    raise ValueError(f"no non-singular zero of {form} over F_{p}")
 
 
 class ValuationProfile(NamedTuple):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .certificates import ResidueGap, ValuationGap
-from .errors import DEFAULT_BUDGET, BudgetExceeded, ParameterMismatch
+from .errors import DEFAULT_BUDGET, BudgetExceeded
 from .forms import DiagonalForm
 from .padic import as_prime, inverse_mod, split_power
 
@@ -408,13 +408,11 @@ def quotient_coverage(
     values = enumerate_values(form, p, B, K, budget)
     quotients = _quotient_map(values, V)
     units = [u for u in range(1, p**K) if u % p]
-    per_level = {v: set() for v in range(-V, V + 1)}
-    for v, u in quotients.hits:
-        per_level[v].add(u)
-    coverage = {v: len(per_level[v]) / len(units) for v in per_level}
+    hits = quotients.hits
     missed = {
-        v: tuple(u for u in units if u not in per_level[v]) for v in per_level
+        v: tuple(u for u in units if (v, u) not in hits) for v in range(-V, V + 1)
     }
+    coverage = {v: (len(units) - len(missed[v])) / len(units) for v in missed}
     vals = values.valuations
     return CoverageReport(
         form=form,
@@ -442,7 +440,7 @@ def check_certificate(certificate, report: CoverageReport) -> CheckResult:
     the engine verdict.
     """
     if certificate.p != report.p or certificate.n != report.form.n:
-        raise ParameterMismatch(
+        raise ValueError(
             "certificate and report disagree on (p, n): "
             f"({certificate.p}, {certificate.n}) vs ({report.p}, {report.form.n})"
         )
@@ -468,7 +466,7 @@ def check_certificate(certificate, report: CoverageReport) -> CheckResult:
     if isinstance(certificate, ResidueGap):
         e = certificate.modulus_exponent
         if e > report.K:
-            raise ParameterMismatch(
+            raise ValueError(
                 f"certificate needs unit precision {e}, report has K={report.K}"
             )
         pe = report.p**e

@@ -15,8 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .errors import NotInvertible
-
 __all__ = [
     "valuation",
     "inverse_mod",
@@ -99,7 +97,7 @@ def inverse_mod(a: int, modulus: int) -> int:
     try:
         return pow(a, -1, modulus)
     except ValueError:
-        raise NotInvertible(f"gcd({a}, {modulus}) = {gcd(a, modulus)} != 1") from None
+        raise ValueError(f"gcd({a}, {modulus}) = {gcd(a, modulus)} != 1") from None
 
 
 def unit_residue(x, p, K: int) -> int:

@@ -17,13 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .errors import (
-    DEFAULT_BUDGET,
-    BudgetExceeded,
-    NegativeValuation,
-    NoRoot,
-    NotAUnit,
-)
+from .errors import DEFAULT_BUDGET, BudgetExceeded, NoRoot
 from .padic import (
     as_prime,
     inverse_mod,
@@ -83,7 +77,7 @@ def is_nth_power_residue(u: int, n: int, p, M: int) -> bool:
     if n < 1:
         raise ValueError("exponent n must be >= 1")
     if u % p == 0:
-        raise NotAUnit(f"{u} is divisible by {p}")
+        raise ValueError(f"{u} is divisible by {p}")
     pM = p**M
     u %= pM
     if p != 2:
@@ -107,7 +101,7 @@ def is_nth_power_in_Zp(c, n: int, p) -> bool:
         raise ValueError("c must be nonzero")
     v = valuation(c, p)
     if v < 0:
-        raise NegativeValuation(f"valuation {v} < 0: not a p-adic integer")
+        raise ValueError(f"valuation {v} < 0: not a p-adic integer")
     if v % n != 0:
         return False
     M = stabilization_exponent(n, p)
@@ -127,13 +121,14 @@ def nth_root_in_Zp(c, n: int, p, K: int, budget: int = DEFAULT_BUDGET) -> int:
         raise NoRoot(f"x^{n} = {c} has no solution in Z_{p}")
     c = Fraction(c)
     v = valuation(c, p)
-    if v >= K:
-        # c == 0 mod p^K already; p^ceil(K/n) is the canonical root.
-        return pow(p, (K + n - 1) // n, p**K)
+    if v // n >= K:
+        return 0  # the root p^(v/n) * unit lies in p^K Z_p
+    # x = p^(v/n) * y, so y is needed mod p^k.  A root of y^n = target is
+    # pinned mod p^k only when target agrees with unit(c) mod p^(k+t).
     t, m = split_power(n, p)
     E = max(stabilization_exponent(n, p) + 1, 2 * t + 1)
-    k = K - v
-    target = unit_residue(c, p, max(k, E))
+    k = K - v // n
+    target = unit_residue(c, p, max(k + t, E))
     start_mod = p**E
     if start_mod > budget:
         raise BudgetExceeded(f"start enumeration mod {p}^{E} exceeds budget")
@@ -155,4 +150,4 @@ def nth_root_in_Zp(c, n: int, p, K: int, budget: int = DEFAULT_BUDGET) -> int:
         y = (y - fy // pt * inverse_mod(m * pow(y, n - 1, work), work)) % work
     else:
         raise AssertionError("Newton lift of a stabilized root did not converge")
-    return y % p**k * p ** (v // n) % p**K
+    return y % p**k * p ** (v // n)

@@ -17,7 +17,7 @@ from qdense.denseness import (
     verdict_from_dict,
     verdict_to_dict,
 )
-from qdense.errors import DEFAULT_BUDGET, BudgetExceeded, UnsupportedDegree
+from qdense.errors import DEFAULT_BUDGET, BudgetExceeded
 from qdense.forms import DiagonalForm, valuation_profile
 from qdense.residues import is_nth_power_residue
 
@@ -124,7 +124,7 @@ def test_binary_offsets_respect_the_budget():
 
 
 def test_binary_rejects_quadratics():
-    with pytest.raises(UnsupportedDegree):
+    with pytest.raises(ValueError, match="require degree n >= 3"):
         decide_binary(DiagonalForm(2, (1, 1)), 3)
 
 

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from qdense.errors import DimensionMismatch
 from qdense.forms import (
     DiagonalForm,
     find_nonsingular_zero_mod_p,
@@ -24,7 +23,7 @@ def test_evaluate_examples():
 
 
 def test_evaluate_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match="form has 2 variables, point has 3"):
         DiagonalForm(3, (1, 2)).evaluate((1, 2, 3))
 
 
@@ -166,10 +165,16 @@ def test_nonsingular_zero_random_slice():
 
 
 def test_nonsingular_zero_requires_ternary_cubic():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match="defined for ternary cubics"):
         find_nonsingular_zero_mod_p(DiagonalForm(3, (1, 1)), 7)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match="defined for ternary cubics"):
         find_nonsingular_zero_mod_p(DiagonalForm(4, (1, 1, 1)), 7)
+
+
+def test_nonsingular_zero_absent_outside_preconditions():
+    # p = 3 divides every coefficient, so every partial derivative vanishes.
+    with pytest.raises(ValueError, match="no non-singular zero"):
+        find_nonsingular_zero_mod_p(DiagonalForm(3, (3, 3, 3)), 3)
 
 
 # ---------------------------------------------------------------------------

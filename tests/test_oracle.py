@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdense.denseness import ResidueGap, ValuationGap, decide
-from qdense.errors import BudgetExceeded, ParameterMismatch
+from qdense.errors import BudgetExceeded
 from qdense.forms import DiagonalForm
 from qdense.oracle import (
     _quotient_map,
@@ -287,9 +287,9 @@ def test_check_fabricated_residue_gap_contradicted():
 
 def test_check_parameter_mismatch():
     report = quotient_coverage(DiagonalForm(3, (1, 1)), 7, B=5, K=1, V=3)
-    with pytest.raises(ParameterMismatch):
+    with pytest.raises(ValueError, match="disagree on"):
         check_certificate(ValuationGap(p=5, n=3, forbidden=frozenset({1})), report)
-    with pytest.raises(ParameterMismatch):
+    with pytest.raises(ValueError, match="needs unit precision 2"):
         check_certificate(
             ResidueGap(p=7, n=3, unit_class=5, modulus_exponent=2), report
         )  # needs unit precision 2, report has K=1

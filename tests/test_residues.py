@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qdense.errors import BudgetExceeded, NegativeValuation, NoRoot, NotAUnit
+from qdense.errors import BudgetExceeded, NoRoot
 from qdense.padic import split_power
 from qdense.residues import (
     is_nth_power_in_Zp,
@@ -77,7 +77,7 @@ def test_is_nth_power_residue_examples():
     assert is_nth_power_residue(6, 3, 7, 1) is True  # 3^3 = 27 = 6 mod 7
     assert is_nth_power_residue(5, 3, 7, 1) is False
     assert is_nth_power_residue(15, 4, 2, 4) is False  # odd^4 = 1 mod 16
-    with pytest.raises(NotAUnit):
+    with pytest.raises(ValueError, match="14 is divisible by 7"):
         is_nth_power_residue(14, 3, 7, 1)
 
 
@@ -127,7 +127,7 @@ def test_is_nth_power_in_Zp_examples():
     assert is_nth_power_in_Zp(-1, 3, 3) is True  # (-1)^3; -1 = 8 mod 9 is a cube
     assert is_nth_power_in_Zp(5, 3, 5) is False  # valuation 1 not divisible by 3
     assert is_nth_power_in_Zp(8, 3, 5) is True  # 2^3
-    with pytest.raises(NegativeValuation):
+    with pytest.raises(ValueError, match="not a p-adic integer"):
         is_nth_power_in_Zp(Fraction(1, 5), 3, 5)
     with pytest.raises(ValueError):
         is_nth_power_in_Zp(0, 3, 5)
@@ -238,8 +238,11 @@ def test_nth_root_positive_derivative_valuation():
 
 
 def test_nth_root_lift_then_reduce_equals_direct_lift():
-    # The root is unique mod p^(K' - v_p(n)): exactly the root at K' when
-    # p does not divide n.
+    # Roots at two precisions are truncations of one p-adic root, also when
+    # p divides n or c.
+    assert nth_root_in_Zp(42282506250000, 4, 5, 35) % 25 == nth_root_in_Zp(
+        42282506250000, 4, 5, 2
+    )
     rng = random.Random(5)
     for _ in range(100):
         p = rng.choice([2, 3, 5, 7])
@@ -247,14 +250,11 @@ def test_nth_root_lift_then_reduce_equals_direct_lift():
         w = rng.randint(1, p**3)
         while w % p == 0:
             w = rng.randint(1, p**3)
-        c = pow(w, n)
+        c = pow(w * p ** rng.randint(0, 2), n)
         K = rng.randint(5, 40)
         Kp = rng.randint(1, K - 1)
-        unique = p ** max(Kp - split_power(n, p)[0], 0)
         big, small = nth_root_in_Zp(c, n, p, K), nth_root_in_Zp(c, n, p, Kp)
-        assert big % unique == small % unique
-        if n % p:
-            assert big % p**Kp == small
+        assert big % p**Kp == small, (c, n, p, K, Kp)
 
 
 def test_nth_root_residuals_property():
