@@ -42,8 +42,8 @@ class ValueClasses:
     """Observed (valuation, unit mod p^K) classes of F over a box.
 
     `classes` is the set of (v, u) keys; `witness(key)` is the
-    lexicographically least box point realizing a key, and the first call
-    finds the least point of every class.
+    lexicographically least box point realizing a key, from one scan of the
+    whole box in lexicographic order that keeps the least point of every class.
     """
 
     form: DiagonalForm
@@ -59,29 +59,14 @@ class ValueClasses:
     @cached_property
     def _least_points(self) -> dict:
         """The lexicographically least point of [-B, B]^r realizing each
-        class, from one scan of the half box `enumerate_values` visits.
-
-        For even n the least point has no positive coordinate.  For odd n
-        the scan stops at the origin, so its points have a negative first
-        nonzero coordinate; every later point is the negation of one of
-        them, and negation reverses lexicographic order.
-        """
+        class, from one scan of the whole box in lexicographic order."""
         pK = self.p**self.K
-        n, r, B = self.form.n, self.form.r, self.B
-        points = itertools.product(range(-B, B + 1 if n % 2 else 1), repeat=r)
-        if n % 2:
-            points = itertools.islice(points, ((2 * B + 1) ** r - 1) // 2)
-        least, greatest = {}, {}
-        for point in points:
+        least = {}
+        for point in itertools.product(range(-self.B, self.B + 1), repeat=self.form.r):
             value = self.form.evaluate(point)
             if value:
                 v, unit = split_power(value, self.p)
-                key = (v, unit % pK)
-                least.setdefault(key, point)
-                greatest[key] = point
-        if n % 2:
-            for (v, u), point in greatest.items():
-                least.setdefault((v, -u % pK), tuple(-x for x in point))
+                least.setdefault((v, unit % pK), point)
         return least
 
     def witness(self, key) -> tuple:
@@ -103,7 +88,6 @@ class QuotientClassMap:
     """
 
     values: ValueClasses = field(repr=False)
-    V: int
     hits: frozenset  # (v, u) keys
 
     @cached_property
@@ -205,11 +189,11 @@ def enumerate_values(
 ) -> ValueClasses:
     """Classify F(x) for every x in [-B, B]^r with F(x) != 0.
 
-    Only half the box is visited.  For even n, F is unchanged by flipping
-    the sign of a coordinate, so the points with no positive coordinate
-    reach every class.  For odd n, F(-x) = -F(x), so the points whose
-    first nonzero coordinate is negative are visited and each class
-    (v, u) found there also gives (v, -u mod p^K).
+    The box is folded by sign.  For even n, F is unchanged by flipping the
+    sign of a coordinate, so the points with every coordinate <= 0 reach
+    every class.  For odd n, F(-x) = -F(x), so the points whose first
+    coordinate is <= 0 are visited and each class (v, u) found there also
+    gives (v, -u mod p^K).
 
     A box row is a prefix sum s over the leading coordinates plus every
     monomial t of the last one.  Its unit values, s + t prime to p, are
@@ -220,6 +204,10 @@ def enumerate_values(
     against the budget.
     """
     p = as_prime(p)
+    if B < 0:
+        raise ValueError(f"box bound B must be >= 0, got {B}")
+    if K < 1:
+        raise ValueError(f"unit precision K must be >= 1, got {K}")
     if (2 * B + 1) ** form.r > budget:
         raise BudgetExceeded(
             f"({2*B+1})^{form.r} box points exceed budget {budget}"
@@ -229,37 +217,20 @@ def enumerate_values(
         raise BudgetExceeded(f"residue bitmask mod {p}^{K} exceeds budget {budget}")
     n = form.n
     odd = n % 2
-    xs = range(-B, B + 1 if odd else 1)
-    *head_coeffs, last = form.coeffs
-    # Residues mod p^K tell units from multiples of p only when K >= 1.
-    mK = p ** max(K, 1)
-
-    def row_kernel(monomials):
-        # The residue bitmask, doubled so that one right shift by mK - s
-        # is the cyclic shift by s, and the monomials bucketed mod p.
-        mask, by_residue = 0, {}
-        for t in monomials:
-            mask |= 1 << t % mK
-            by_residue.setdefault(t % p, []).append(t)
-        return mask | mask << mK, by_residue
-
-    heads = itertools.product(*[[a * x**n for x in xs] for a in head_coeffs])
-    tail = row_kernel([last * x**n for x in xs])
-    if odd:
-        # In lexicographic order the heads before the zero head are those
-        # whose first nonzero coordinate is negative; the zero head then
-        # takes x < 0 only.
-        half = ((2 * B + 1) ** len(head_coeffs) - 1) // 2
-        rows = itertools.chain(
-            ((sum(terms), tail) for terms in itertools.islice(heads, half)),
-            [(0, row_kernel([last * x**n for x in xs[:B]]))],
-        )
-    else:
-        rows = ((sum(terms), tail) for terms in heads)
+    folded, whole = range(-B, 1), range(-B, B + 1)
+    ranges = [whole if odd and i else folded for i in range(form.r)]
+    *heads, tail = [[a * x**n for x in xs] for a, xs in zip(form.coeffs, ranges)]
+    # The last coordinate's residue bitmask, doubled so that one right shift
+    # by pK - s is the cyclic shift by s, and its monomials bucketed mod p.
+    mask, by_residue = 0, {}
+    for t in tail:
+        mask |= 1 << t % pK
+        by_residue.setdefault(t % p, []).append(t)
+    doubled = mask | mask << pK
     units = 0
     classes = set()
-    for prefix, (doubled, by_residue) in rows:
-        units |= doubled >> mK - prefix % mK
+    for prefix in map(sum, itertools.product(*heads)):
+        units |= doubled >> pK - prefix % pK
         for monomial in by_residue.get(-prefix % p, ()):
             value = prefix + monomial
             if value == 0:
@@ -272,12 +243,12 @@ def enumerate_values(
                 v += 1
             classes.add((v, value % pK))
     # full // (2^p - 1) has bits 0, p, 2p, ...: the multiples of p.  The
-    # other bits of `units` below mK are the unit residues some row reached.
-    full = (1 << mK) - 1
+    # other bits of `units` below pK are the unit residues some row reached.
+    full = (1 << pK) - 1
     bits = bin(units & full & ~(full // ((1 << p) - 1)))[:1:-1]
     u = bits.find("1")
     while u >= 0:
-        classes.add((0, u % pK))
+        classes.add((0, u))
         u = bits.find("1", u + 1)
     if odd:
         classes |= {(v, -u % pK) for v, u in classes}
@@ -388,7 +359,7 @@ def _quotient_map(values: ValueClasses, V: int) -> QuotientClassMap:
         for i, bit in enumerate(reversed(bin(mask)))
         if bit == "1"
     )
-    return QuotientClassMap(values=values, V=V, hits=hits)
+    return QuotientClassMap(values=values, hits=hits)
 
 
 def quotient_coverage(
@@ -401,13 +372,19 @@ def quotient_coverage(
 ) -> CoverageReport:
     """Enumerate, quotient, and measure per-level unit-class coverage.
 
-    The units mod p^K are listed too; enumerate_values has already charged
-    p^K against the budget.
+    enumerate_values charges p^K against the budget; the (2V + 1) x phi(p^K)
+    level x unit table that `missed` and the reports hold is charged here.
     """
+    if V < 0:
+        raise ValueError(f"valuation window V must be >= 0, got {V}")
     p = as_prime(p)
     values = enumerate_values(form, p, B, K, budget)
-    quotients = _quotient_map(values, V)
     units = [u for u in range(1, p**K) if u % p]
+    if (2 * V + 1) * len(units) > budget:
+        raise BudgetExceeded(
+            f"{2*V+1} valuation levels x {len(units)} units exceed budget {budget}"
+        )
+    quotients = _quotient_map(values, V)
     hits = quotients.hits
     missed = {
         v: tuple(u for u in units if (v, u) not in hits) for v in range(-V, V + 1)

@@ -77,6 +77,8 @@ def test_decide_usage_error_exit_64(capsys):
         (["survey", "--n-list", "3,x", "--p-list", "7", "--coeff-range", "1", "2"], 64),
         (["oracle", "--n", "3", "--coeffs", "1,2", "--p", "13", "--box", "1",
           "--K", "30000000"], 65),
+        (["oracle", "--n", "3", "--coeffs", "1,2", "--p", "7", "--box", "1", "--K", "1",
+          "--V", "1000000", "--budget", "1000"], 65),
     ],
 )
 def test_bad_input_fails_closed(argv, code, capsys):

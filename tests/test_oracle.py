@@ -62,6 +62,16 @@ def test_budget_checked_before_building_p_to_the_K():
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize(
+    "B, K, V, name",
+    [(-1, 1, 3, "box bound B"), (2, 0, 3, "unit precision K"),
+     (2, -1, 3, "unit precision K"), (2, 1, -2, "valuation window V")],
+)
+def test_bad_box_precision_or_window_raises_value_error(B, K, V, name):
+    with pytest.raises(ValueError, match=name):
+        quotient_coverage(DiagonalForm(3, (1, 2)), 7, B=B, K=K, V=V)
+
+
 def test_witness_integrity():
     form = DiagonalForm(4, (3, -5))
     vals = enumerate_values(form, 3, B=6, K=2)
@@ -149,6 +159,9 @@ def _compare_with_reference(form, p, B, K, V):
 @settings(max_examples=200, deadline=None)
 @given(_oracle_case([(0, 6), (0, 4), (0, 2)]))
 @example((DiagonalForm(3, (1, 2)), 1009, 3, 2, 3))  # a 1009^2-bit residue mask
+@example((DiagonalForm(5, (3,)), 2, 9, 3, 2))  # odd n: the one coordinate is folded
+@example((DiagonalForm(4, (1, -3)), 3, 0, 2, 1))  # B = 0: the origin only
+@example((DiagonalForm(3, (1, 2, 7)), 7, 2, 2, 3))  # odd n, a p-power coefficient
 def test_kernel_matches_reference(case):
     quotients, hits = _compare_with_reference(*case)
     for key in quotients.hits:
