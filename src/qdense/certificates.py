@@ -3,8 +3,10 @@
 A ValuationGap lists residues mod n that no quotient valuation attains; a
 ResidueGap names a unit class mod p^e never hit by a valuation-zero
 quotient.  Both are exact finite claims that the oracle can check against
-enumeration.  The JSON form is {"kind": class name, then the fields in
-declaration order}, with frozensets written as sorted lists.
+enumeration; one it could not refute (a class outside [0, n), a unit class
+that is not a unit mod p, an exponent below 1) raises ValueError.  The JSON form is
+{"kind": class name, then the fields in declaration order}, with frozensets
+written as sorted lists.
 """
 
 from __future__ import annotations
@@ -26,6 +28,11 @@ class ValuationGap:
         object.__setattr__(self, "forbidden", frozenset(self.forbidden))
         if not self.forbidden:
             raise ValueError("a valuation gap must forbid at least one class")
+        if not all(0 <= c < self.n for c in self.forbidden):
+            raise ValueError(
+                f"forbidden classes must lie in [0, {self.n}), "
+                f"got {sorted(self.forbidden)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -36,6 +43,14 @@ class ResidueGap:
     n: int
     unit_class: int
     modulus_exponent: int
+
+    def __post_init__(self):
+        if self.p < 2 or self.unit_class % self.p == 0:
+            raise ValueError(f"unit class {self.unit_class} is not a unit mod {self.p}")
+        if self.modulus_exponent < 1:
+            raise ValueError(
+                f"modulus exponent must be >= 1, got {self.modulus_exponent}"
+            )
 
 
 _KINDS = {cls.__name__: cls for cls in (ValuationGap, ResidueGap)}

@@ -70,7 +70,7 @@ def _int_list(text: str) -> list:
 
 
 def _form_from_args(args) -> DiagonalForm:
-    return DiagonalForm(args.n, tuple(int(a) for a in args.coeffs.split(",")))
+    return DiagonalForm(args.n, args.coeffs)
 
 
 def _budget(args) -> int:
@@ -305,7 +305,10 @@ def _add_form_args(sub):
         "--n", type=_int_at_least(1), required=True, help="degree of the form"
     )
     sub.add_argument(
-        "--coeffs", required=True, help="comma-separated nonzero coefficients"
+        "--coeffs",
+        type=_int_list,
+        required=True,
+        help="comma-separated nonzero coefficients",
     )
     sub.add_argument("--p", type=int, required=True, help="prime")
 

@@ -285,7 +285,7 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
     if n >= 3:
         gate = gcd(n, p * (p - 1)) == 1
         if gate and not prof.pairwise_distinct:
-            i, j = _matching_pair(prof.residues)
+            pair = _first_in_one_class(prof.residues, 2)
             trace.append(
                 RuleApplication(
                     "R2",
@@ -293,7 +293,7 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
                     "power; two coefficients share a valuation class mod n "
                     "and the binary subform they span is dense, hence so is "
                     "the full quotient set",
-                    {"indices": [i, j], "residues": list(prof.residues)},
+                    {"indices": pair, "residues": list(prof.residues)},
                 )
             )
             return Verdict(DENSE, tuple(trace))
@@ -333,9 +333,9 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
                 return Verdict(DENSE, tuple(trace))
 
         if n == 3 and p != 3:
-            triple = _shared_class_triple(prof.residues)
+            triple = _first_in_one_class(prof.residues, 3)
             if triple is not None:
-                stripped = DiagonalForm(3, tuple(prof.unit_parts[i] for i in triple))
+                stripped = DiagonalForm(3, [prof.unit_parts[i] for i in triple])
                 try:
                     witness = find_nonsingular_zero_mod_p(stripped, p, budget)
                 except BudgetExceeded:
@@ -343,7 +343,7 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
                         RuleApplication(
                             "R3",
                             "non-singular zero search skipped: exceeds the budget",
-                            {"indices": list(triple)},
+                            {"indices": triple},
                         )
                     )
                 else:
@@ -357,7 +357,7 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
                             "fill every ball: dense (r >= 7 always contains "
                             "such a triple by pigeonhole)",
                             {
-                                "indices": list(triple),
+                                "indices": triple,
                                 "stripped_coeffs": list(stripped.coeffs),
                                 "nonsingular_zero": list(witness),
                             },
@@ -449,21 +449,14 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
     return Verdict(INCONCLUSIVE, tuple(trace))
 
 
-def _matching_pair(residues):
-    seen = {}
-    for i, c in enumerate(residues):
-        if c in seen:
-            return seen[c], i
-        seen[c] = i
-    raise AssertionError("no matching pair in pairwise-distinct residues")
-
-
-def _shared_class_triple(residues):
+def _first_in_one_class(residues, k: int):
+    """The first k indices to fill one class of `residues`, or None."""
     by_class = {}
     for i, c in enumerate(residues):
-        by_class.setdefault(c, []).append(i)
-        if len(by_class[c]) == 3:
-            return tuple(by_class[c])
+        members = by_class.setdefault(c, [])
+        members.append(i)
+        if len(members) == k:
+            return members
     return None
 
 

@@ -2,10 +2,10 @@
 
 A diagonal form is F(x_1..x_r) = a_1 x_1^n + ... + a_r x_r^n with nonzero
 integer coefficients.  This module provides exact evaluation, the
-quotient-preserving binary normalization (constant scaling and the
-substitution x -> p^t x leave the quotient set unchanged), exhaustive
-anisotropy checks over F_p, the non-singular zero search used for ternary
-cubics, and coefficient valuation profiles.
+quotient-preserving binary normalization (constant scaling and x -> p^t x
+leave the quotient set unchanged), valuation profiles, and one walk of the
+zeros mod p, in lexicographic order, that both F_p searches share: the
+anisotropy check and the non-singular zero search for ternary cubics.
 """
 
 from __future__ import annotations
@@ -88,36 +88,39 @@ def normalize_binary(form: DiagonalForm, p) -> tuple:
     return alpha - beta, la, lb
 
 
-def _projective_representatives(p: int, r: int):
-    """One representative per projective point: first nonzero coordinate is 1."""
-    for lead in range(r):
+def _zeros_mod_p(form: DiagonalForm, p: int):
+    """The nonzero zeros of the form mod p whose first nonzero coordinate is
+    1, in lexicographic order.  F(c*x) = c^n F(x), so every other zero is a
+    scalar multiple of one of these, and comes after it."""
+    residues = [a % p for a in form.coeffs]
+    pow_table = [pow(x, form.n, p) for x in range(p)]
+    for lead in reversed(range(form.r)):
         prefix = (0,) * lead + (1,)
-        for tail in itertools.product(range(p), repeat=r - 1 - lead):
-            yield prefix + tail
+        for tail in itertools.product(range(p), repeat=form.r - 1 - lead):
+            vec = prefix + tail
+            if sum(a * pow_table[x] for a, x in zip(residues, vec)) % p == 0:
+                yield vec
 
 
 def is_anisotropic_mod_p(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET):
     """Exhaustive isotropy check over F_p.
 
     Returns (True, None) when no nonzero vector annihilates the form mod p,
-    else (False, witness).  Scalar multiples are skipped: F(c*x) = c^n F(x),
-    so projective representatives suffice.
+    else (False, witness) with the lexicographically least nonzero zero.
     """
     p = as_prime(p)
     if (p**form.r - 1) // (p - 1) > budget:
         raise BudgetExceeded(f"{p}^{form.r} vectors exceed budget {budget}")
-    residues = [a % p for a in form.coeffs]
-    pow_table = [pow(x, form.n, p) for x in range(p)]
-    for vec in _projective_representatives(p, form.r):
-        if sum(a * pow_table[x] for a, x in zip(residues, vec)) % p == 0:
-            return False, vec
-    return True, None
+    witness = next(_zeros_mod_p(form, p), None)
+    return witness is None, witness
 
 
 def find_nonsingular_zero_mod_p(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET):
-    """First (lexicographic) nonzero root of a ternary cubic over F_p with a
-    nonvanishing partial derivative.
+    """Lexicographically least nonzero root of a ternary cubic over F_p with
+    a nonvanishing partial derivative.
 
+    A root x with leading coordinate c != 1 has the earlier root x/c, which
+    is non-singular exactly when x is, so only roots led by 1 are visited.
     Existence is guaranteed whenever p != 3 and p divides no coefficient
     (diagonal cubics then always have a non-singular zero over F_p).
     Otherwise there may be none, and the search raises ValueError.
@@ -127,22 +130,9 @@ def find_nonsingular_zero_mod_p(form: DiagonalForm, p, budget: int = DEFAULT_BUD
     p = as_prime(p)
     if p**2 > budget:
         raise BudgetExceeded(f"{p}^2 search pairs exceed budget {budget}")
-    a, b, c = (x % p for x in form.coeffs)
-    cubes = [pow(x, 3, p) for x in range(p)]
-    # z-lookup: residue of -c*z^3 -> sorted list of z
-    by_residue = {}
-    for z in range(p):
-        by_residue.setdefault(-c * cubes[z] % p, []).append(z)
-    for x in range(p):
-        for y in range(p):
-            for z in by_residue.get((a * cubes[x] + b * cubes[y]) % p, ()):
-                if x == y == z == 0:
-                    continue
-                vec = (x, y, z)
-                if any(
-                    3 * ai * vi * vi % p for ai, vi in zip(form.coeffs, vec)
-                ):
-                    return vec
+    for vec in _zeros_mod_p(form, p):
+        if any(3 * a * x * x % p for a, x in zip(form.coeffs, vec)):
+            return vec
     raise ValueError(f"no non-singular zero of {form} over F_{p}")
 
 

@@ -180,9 +180,6 @@ class CheckResult:
     witness: tuple = None  # (numerator point, denominator point) on refutation
     detail: str = ""
 
-    def __bool__(self):
-        return self.consistent
-
 
 def enumerate_values(
     form: DiagonalForm, p, B: int, K: int, budget: int = DEFAULT_BUDGET

@@ -9,24 +9,21 @@ from qdense.certificates import ResidueGap, ValuationGap, from_dict, to_dict
 primes = st.sampled_from([2, 3, 5, 7, 11, 13])
 degrees = st.integers(min_value=2, max_value=12)
 
-certificates = st.one_of(
-    st.builds(
-        ValuationGap,
-        p=primes,
-        n=degrees,
-        forbidden=st.frozensets(st.integers(0, 11), min_size=1),
-    ),
-    st.builds(
-        ResidueGap,
-        p=primes,
-        n=degrees,
-        unit_class=st.integers(1, 10**6),
-        modulus_exponent=st.integers(1, 6),
-    ),
-)
+
+@st.composite
+def certificates(draw):
+    """Valid certificates: classes in [0, n), a unit class prime to p."""
+    p, n = draw(primes), draw(degrees)
+    if draw(st.booleans()):
+        forbidden = draw(st.frozensets(st.integers(0, n - 1), min_size=1))
+        return ValuationGap(p=p, n=n, forbidden=forbidden)
+    unit_class = draw(st.integers(1, 10**6).filter(lambda u: u % p))
+    return ResidueGap(
+        p=p, n=n, unit_class=unit_class, modulus_exponent=draw(st.integers(1, 6))
+    )
 
 
-@given(certificates)
+@given(certificates())
 def test_certificate_json_round_trip(cert):
     data = to_dict(cert)
     assert next(iter(data)) == "kind"
@@ -43,3 +40,39 @@ def test_certificate_key_order_and_unknown_kind():
     assert list(to_dict(cert)) == ["kind", "p", "n", "unit_class", "modulus_exponent"]
     with pytest.raises(ValueError):
         from_dict({"kind": "Nonsense", "p": 7, "n": 3})
+
+
+BAD_CERTIFICATES = [
+    (ValuationGap, {"p": 7, "n": 3, "forbidden": [-1]}, r"\[0, 3\)"),
+    (ValuationGap, {"p": 7, "n": 3, "forbidden": [1, 5]}, r"\[0, 3\)"),
+    (
+        ResidueGap,
+        {"p": 7, "n": 3, "unit_class": 14, "modulus_exponent": 1},
+        "not a unit mod 7",
+    ),
+    (
+        ResidueGap,
+        {"p": 0, "n": 3, "unit_class": 2, "modulus_exponent": 1},
+        "not a unit mod 0",
+    ),
+    (
+        ResidueGap,
+        {"p": 7, "n": 3, "unit_class": 2, "modulus_exponent": 0},
+        "exponent must be >= 1",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, message",
+    BAD_CERTIFICATES,
+    ids=["class-below-0", "class-past-n", "unit-multiple-of-p", "p-0", "exponent-0"],
+)
+def test_certificates_the_oracle_cannot_refute_are_rejected(cls, fields, message):
+    # Class -1 would name class 2 and class 5 no class at all, so the oracle
+    # could refute neither; a unit class divisible by p claims nothing, and
+    # p = 0 must fail as bad input, not with ZeroDivisionError.
+    with pytest.raises(ValueError, match=message):
+        cls(**fields)
+    with pytest.raises(ValueError, match=message):
+        from_dict({"kind": cls.__name__, **fields})

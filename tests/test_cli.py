@@ -1,9 +1,13 @@
+import importlib
 import json
+import re
+import shlex
 import sys
 from pathlib import Path
 
 import pytest
 
+import qdense
 from qdense.cli import main
 from qdense.denseness import decide, verdict_from_dict
 from qdense.forms import DiagonalForm
@@ -79,6 +83,7 @@ def test_decide_usage_error_exit_64(capsys):
           "--K", "30000000"], 65),
         (["oracle", "--n", "3", "--coeffs", "1,2", "--p", "7", "--box", "1", "--K", "1",
           "--V", "1000000", "--budget", "1000"], 65),
+        (["decide", "--n", "3", "--coeffs", "1,a", "--p", "7"], 64),
     ],
 )
 def test_bad_input_fails_closed(argv, code, capsys):
@@ -92,6 +97,11 @@ def test_survey_list_error_names_the_expected_format(capsys):
     argv = ["survey", "--n-list", "3", "--p-list", "7,x", "--coeff-range", "1", "2"]
     assert main(argv) == 64
     assert "expected comma-separated integers, got '7,x'" in capsys.readouterr().err
+
+
+def test_coeffs_error_names_the_expected_format(capsys):
+    assert main(["decide", "--n", "3", "--coeffs", "1,a", "--p", "7"]) == 64
+    assert "expected comma-separated integers, got '1,a'" in capsys.readouterr().err
 
 
 def test_decide_json_round_trips(capsys):
@@ -452,3 +462,27 @@ def test_exit_codes_match_status_randomized(capsys):
         capsys.readouterr()
         verdict = decide(DiagonalForm(n, (a, b)), p)
         assert code == {"Dense": 0, "NotDense": 1, "Inconclusive": 2}[verdict.status]
+
+
+# ---------------------------------------------------------------------------
+# the README's CLI block and the packaging metadata
+# ---------------------------------------------------------------------------
+
+
+def test_readme_cli_block_runs_and_pyproject_matches_the_package(capsys):
+    root = HERE.parent
+    readme = (root / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1]
+    block = block.split("```", 1)[0]
+    lines = [x for x in block.splitlines() if x.startswith("qdense ")]
+    assert lines
+    for line in lines:
+        code = main(shlex.split(line, comments=True)[1:])
+        capsys.readouterr()
+        stated = re.search(r"# exit (\d+)", line)
+        assert code in ({int(stated[1])} if stated else {0, 1, 2}), line
+    tomllib = pytest.importorskip("tomllib")  # standard library from 3.11
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    module, _, name = project["scripts"]["qdense"].partition(":")
+    assert getattr(importlib.import_module(module), name) is main
+    assert project["version"] == qdense.__version__

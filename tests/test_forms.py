@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qdense.forms import (
     DiagonalForm,
@@ -80,8 +83,8 @@ def test_anisotropy_examples():
     assert is_anisotropic_mod_p(DiagonalForm(2, (1, 1)), 3) == (True, None)
     assert is_anisotropic_mod_p(DiagonalForm(2, (1, -1)), 3) == (False, (1, 1))
     aniso, witness = is_anisotropic_mod_p(DiagonalForm(3, (1, 1, 1)), 7)
-    assert not aniso and witness == (1, 0, 3)
-    assert (1 + 0 + 27) % 7 == 0
+    assert not aniso and witness == (0, 1, 3)
+    assert (0 + 1 + 27) % 7 == 0
 
 
 def test_anisotropy_witness_is_projective_representative():
@@ -101,8 +104,6 @@ def test_anisotropy_witness_is_projective_representative():
 
 
 def test_anisotropy_vs_full_enumeration():
-    import itertools
-
     rng = random.Random(50)
     for _ in range(150):
         p = rng.choice([2, 3, 5])
@@ -128,6 +129,52 @@ def test_anisotropic_implies_unit_coefficients():
         aniso, _ = is_anisotropic_mod_p(DiagonalForm(n, coeffs), p)
         if aniso:
             assert all(a % p for a in coeffs)
+
+
+def _least_zero(coeffs, n, p, nonsingular=False):
+    """Brute force: the lexicographically least nonzero zero mod p, or None."""
+    for vec in itertools.product(range(p), repeat=len(coeffs)):
+        if not any(vec) or sum(a * x**n for a, x in zip(coeffs, vec)) % p:
+            continue
+        partials = [n * a * x ** (n - 1) % p for a, x in zip(coeffs, vec)]
+        if not nonsingular or any(partials):
+            return vec
+    return None
+
+
+small_primes = st.sampled_from([2, 3, 5, 7])
+
+
+@st.composite
+def forms_mod_p(draw, r=st.integers(1, 4), n=st.integers(2, 8), primes=small_primes):
+    """(form, p) with coefficients a*p^k, k <= 2, so p divides some of them."""
+    p, r, n = draw(primes), draw(r), draw(n)
+    units = st.integers(-30, 30).filter(bool)
+    coeffs = [draw(units) * p ** draw(st.integers(0, 2)) for _ in range(r)]
+    return DiagonalForm(n, coeffs), p
+
+
+@given(forms_mod_p())
+def test_anisotropy_witness_is_least_zero(case):
+    form, p = case
+    least = _least_zero(form.coeffs, form.n, p)
+    assert is_anisotropic_mod_p(form, p) == (least is None, least)
+
+
+ternary_cubics = forms_mod_p(
+    r=st.just(3), n=st.just(3), primes=st.sampled_from([2, 3, 5, 7, 13])
+)
+
+
+@given(ternary_cubics)
+def test_nonsingular_zero_is_least(case):
+    form, p = case
+    least = _least_zero(form.coeffs, 3, p, nonsingular=True)
+    if least is None:
+        with pytest.raises(ValueError, match="no non-singular zero"):
+            find_nonsingular_zero_mod_p(form, p)
+    else:
+        assert find_nonsingular_zero_mod_p(form, p) == least
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +253,6 @@ def test_valuation_profile_unit_parts():
 
 
 def test_profile_predicts_observed_valuations():
-    import itertools
-
     rng = random.Random(9)
     checked = 0
     while checked < 40:
