@@ -65,7 +65,19 @@ def to_dict(certificate) -> dict:
 
 
 def from_dict(data: dict):
-    cls = _KINDS.get(data["kind"])
+    """The certificate `to_dict` wrote; anything else raises ValueError."""
+    kind = data.get("kind") if isinstance(data, dict) else None
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
-        raise ValueError(f"unknown certificate kind {data['kind']!r}")
-    return cls(**{f.name: data[f.name] for f in fields(cls)})
+        raise ValueError(f"not a certificate of a known kind: {data!r:.200}")
+    values = {}
+    for f in fields(cls):
+        if f.name not in data:
+            raise ValueError(f"{kind} certificate has no {f.name!r} field")
+        value = values[f.name] = data[f.name]
+        # An int field, or a frozenset of ints written as a list.
+        ints = value if f.type == "frozenset" else [value]
+        if type(ints) is not list or set(map(type, ints)) - {int}:
+            shape = "a list of ints" if f.type == "frozenset" else "an int"
+            raise ValueError(f"{kind} field {f.name!r} is not {shape}: {value!r:.200}")
+    return cls(**values)

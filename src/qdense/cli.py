@@ -27,7 +27,7 @@ from .denseness import (
     decide,
     verdict_to_dict,
 )
-from .errors import DEFAULT_BUDGET, BudgetExceeded, NoRoot
+from .errors import DEFAULT_BUDGET, BudgetExceeded, NoRoot, charge
 from .forms import DiagonalForm, is_anisotropic_mod_p
 from .oracle import check_certificate, quotient_coverage
 from .padic import as_prime, valuation
@@ -166,16 +166,9 @@ def _survey_rows(args, budget: int):
     else:
         lo, hi = args.coeff_range
         width = max(hi - lo + 1 - (lo <= 0 <= hi), 0)  # nonzero coefficients
-        # Any width >= 2 passes the budget within bit_length + 1 variables, so
-        # capping the exponent there keeps a huge --vars from a huge int.
-        shape = len(args.n_list) * len(args.p_list) * width ** min(
-            args.vars, budget.bit_length() + 1
-        )
-        if shape > budget:
-            raise BudgetExceeded(
-                f"survey grid of {len(args.n_list)}*{len(args.p_list)}*{width}^"
-                f"{args.vars} forms exceeds budget {budget}"
-            )
+        grid = len(args.n_list) * len(args.p_list)
+        what = f"survey grid of {grid}*{width}^{args.vars} forms"
+        charge(budget, what, grid * charge(budget, what, width, args.vars))
         coeff_values = [c for c in range(lo, hi + 1) if c != 0]
         for n in args.n_list:
             for p in args.p_list:

@@ -26,7 +26,8 @@ Rules, tried in this fixed order, earliest conclusive hit wins:
   R5  subform closure: the quotient set of a subform is contained in that
       of the full form, so any Dense binary subform decides Dense.  Reading
       the valuation profile once, it tries only pairs whose valuation classes
-      agree mod n (all pairs when n = 3) and skips any over budget.
+      agree mod n (all pairs when n = 3) and skips any over budget; when
+      the r(r-1)/2 pairs themselves exceed the budget it tries none.
   R6  otherwise Inconclusive.  The engine never runs the brute-force
       oracle; `qdense oracle --K 1 --check` gathers coverage evidence for an
       undecided form.
@@ -43,7 +44,7 @@ from math import gcd
 from .certificates import ResidueGap, ValuationGap
 from .certificates import from_dict as certificate_from_dict
 from .certificates import to_dict as certificate_to_dict
-from .errors import DEFAULT_BUDGET, BudgetExceeded
+from .errors import DEFAULT_BUDGET, BudgetExceeded, charge
 from .forms import (
     DiagonalForm,
     find_nonsingular_zero_mod_p,
@@ -404,7 +405,15 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
     if n >= 3 and form.r >= 3:
         M = stabilization_exponent(n, p)
         vals, units, classes = prof.valuations, prof.unit_parts, prof.residues
-        for i, j in combinations(range(form.r), 2):
+        pairs = combinations(range(form.r), 2)
+        count = form.r * (form.r - 1) // 2
+        try:
+            charge(budget, f"search over {count} subform pairs", count)
+        except BudgetExceeded:
+            pairs = ()
+            skip = "subform search skipped: its r(r-1)/2 pairs exceed the budget"
+            trace.append(RuleApplication("R5", skip, {"pairs": count}))
+        for i, j in pairs:
             # R1 rules such a pair NotDense by {0, d, -d} alone; R5 needs Dense.
             if n >= 4 and classes[i] != classes[j]:
                 continue
@@ -479,13 +488,17 @@ def verdict_to_dict(verdict: Verdict) -> dict:
 
 
 def verdict_from_dict(data: dict) -> Verdict:
-    raw = data.get("certificate")
-    trace = tuple(
-        RuleApplication(e["id"], e["citation"], e.get("params", {}))
-        for e in data["rules"]
-    )
+    """The verdict `verdict_to_dict` wrote; anything else raises ValueError."""
+    try:
+        status, raw = data["status"], data.get("certificate")
+        trace = tuple(
+            RuleApplication(e["id"], e["citation"], e.get("params", {}))
+            for e in data["rules"]
+        )
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed verdict: {exc!r}") from None
     return Verdict(
-        status=data["status"],
+        status=status,
         trace=trace,
         certificate=None if raw is None else certificate_from_dict(raw),
     )

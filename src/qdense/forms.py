@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DEFAULT_BUDGET, BudgetExceeded
+from .errors import DEFAULT_BUDGET, charge
 from .padic import as_prime, split_power
 
 __all__ = [
@@ -109,8 +109,9 @@ def is_anisotropic_mod_p(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET):
     else (False, witness) with the lexicographically least nonzero zero.
     """
     p = as_prime(p)
-    if (p**form.r - 1) // (p - 1) > budget:
-        raise BudgetExceeded(f"{p}^{form.r} vectors exceed budget {budget}")
+    # At least p^(r-1) vectors: charged first, it builds no p^r that cannot fit.
+    what = f"walk over ({p}^{form.r} - 1)/({p} - 1) vectors mod {p}"
+    charge(budget, what, (p * charge(budget, what, p, form.r - 1) - 1) // (p - 1))
     witness = next(_zeros_mod_p(form, p), None)
     return witness is None, witness
 
@@ -128,8 +129,7 @@ def find_nonsingular_zero_mod_p(form: DiagonalForm, p, budget: int = DEFAULT_BUD
     if form.r != 3 or form.n != 3:
         raise ValueError("search is defined for ternary cubics")
     p = as_prime(p)
-    if p**2 > budget:
-        raise BudgetExceeded(f"{p}^2 search pairs exceed budget {budget}")
+    charge(budget, f"zero search over {p}^2 pairs", p, 2)
     for vec in _zeros_mod_p(form, p):
         if any(3 * a * x * x % p for a, x in zip(form.coeffs, vec)):
             return vec

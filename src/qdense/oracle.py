@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .certificates import ResidueGap, ValuationGap
-from .errors import DEFAULT_BUDGET, BudgetExceeded
+from .errors import DEFAULT_BUDGET, charge
 from .forms import DiagonalForm
 from .padic import as_prime, inverse_mod, split_power
 
@@ -205,13 +205,8 @@ def enumerate_values(
         raise ValueError(f"box bound B must be >= 0, got {B}")
     if K < 1:
         raise ValueError(f"unit precision K must be >= 1, got {K}")
-    if (2 * B + 1) ** form.r > budget:
-        raise BudgetExceeded(
-            f"({2*B+1})^{form.r} box points exceed budget {budget}"
-        )
-    # p >= 2, so p^K > budget once K > budget.bit_length(): no need to build it.
-    if K > budget.bit_length() or (pK := p**K) > budget:
-        raise BudgetExceeded(f"residue bitmask mod {p}^{K} exceeds budget {budget}")
+    charge(budget, f"box of ({2*B+1})^{form.r} points", 2 * B + 1, form.r)
+    pK = charge(budget, f"residue bitmask mod {p}^{K}", p, K)
     n = form.n
     odd = n % 2
     folded, whole = range(-B, 1), range(-B, B + 1)
@@ -377,10 +372,7 @@ def quotient_coverage(
     p = as_prime(p)
     values = enumerate_values(form, p, B, K, budget)
     units = [u for u in range(1, p**K) if u % p]
-    if (2 * V + 1) * len(units) > budget:
-        raise BudgetExceeded(
-            f"{2*V+1} valuation levels x {len(units)} units exceed budget {budget}"
-        )
+    charge(budget, f"{2*V+1} x {len(units)} coverage table", (2 * V + 1) * len(units))
     quotients = _quotient_map(values, V)
     hits = quotients.hits
     missed = {

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .errors import DEFAULT_BUDGET, BudgetExceeded, NoRoot
+from .errors import DEFAULT_BUDGET, NoRoot, charge
 from .padic import (
     as_prime,
     inverse_mod,
@@ -47,10 +47,7 @@ def stabilization_exponent(n: int, p) -> int:
 
 
 @lru_cache(maxsize=4096)
-def _residue_members(n: int, p: int, M: int, budget: int) -> frozenset:
-    # p >= 2, so p^M > budget once M > budget.bit_length(): no need to build it.
-    if M > budget.bit_length() or (pM := p**M) > budget:
-        raise BudgetExceeded(f"enumerating units mod {p}^{M} exceeds budget {budget}")
+def _residue_members(n: int, p: int, pM: int) -> frozenset:
     return frozenset(pow(a, n, pM) for a in range(1, pM) if a % p)
 
 
@@ -59,7 +56,8 @@ def nth_power_residues(n: int, p, M: int, budget: int = DEFAULT_BUDGET) -> froze
     p = as_prime(p)
     if M < 1:
         raise ValueError("modulus exponent M must be >= 1")
-    return _residue_members(n, p, M, budget)
+    pM = charge(budget, f"enumerating units mod {p}^{M}", p, M)
+    return _residue_members(n, p, pM)
 
 
 def is_nth_power_residue(u: int, n: int, p, M: int) -> bool:
@@ -129,9 +127,7 @@ def nth_root_in_Zp(c, n: int, p, K: int, budget: int = DEFAULT_BUDGET) -> int:
     E = max(stabilization_exponent(n, p) + 1, 2 * t + 1)
     k = K - v // n
     target = unit_residue(c, p, max(k + t, E))
-    start_mod = p**E
-    if start_mod > budget:
-        raise BudgetExceeded(f"start enumeration mod {p}^{E} exceeds budget")
+    start_mod = charge(budget, f"start enumeration mod {p}^{E}", p, E)
     # target is a unit, so no multiple of p can match it.
     goal = target % start_mod
     y = next((y for y in range(1, start_mod) if pow(y, n, start_mod) == goal), None)

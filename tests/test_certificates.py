@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qdense.certificates import ResidueGap, ValuationGap, from_dict, to_dict
+from qdense.denseness import verdict_from_dict
 
 primes = st.sampled_from([2, 3, 5, 7, 11, 13])
 degrees = st.integers(min_value=2, max_value=12)
@@ -76,3 +77,48 @@ def test_certificates_the_oracle_cannot_refute_are_rejected(cls, fields, message
         cls(**fields)
     with pytest.raises(ValueError, match=message):
         from_dict({"kind": cls.__name__, **fields})
+
+
+_VALUATION_GAP = {"kind": "ValuationGap", "p": 7, "n": 3, "forbidden": [1]}
+_RESIDUE_GAP = {
+    "kind": "ResidueGap", "p": 7, "n": 3, "unit_class": 2, "modulus_exponent": 1
+}
+_RULE = {"id": "R2", "citation": "a rule"}
+MALFORMED = {
+    "not-a-dict": (from_dict, [_VALUATION_GAP]),
+    "none": (from_dict, None),
+    "no-kind": (from_dict, {k: v for k, v in _VALUATION_GAP.items() if k != "kind"}),
+    "unhashable-kind": (from_dict, {**_VALUATION_GAP, "kind": ["ValuationGap"]}),
+    "missing-field": (from_dict, {"kind": "ValuationGap", "p": 7, "n": 3}),
+    "p-string": (from_dict, {**_VALUATION_GAP, "p": "7"}),
+    "p-bool": (from_dict, {**_VALUATION_GAP, "p": True}),
+    "n-float": (from_dict, {**_VALUATION_GAP, "n": 3.0}),
+    "unit-class-string": (from_dict, {**_RESIDUE_GAP, "unit_class": "2"}),
+    "exponent-string": (from_dict, {**_RESIDUE_GAP, "modulus_exponent": "1"}),
+    "exponent-bool": (from_dict, {**_RESIDUE_GAP, "modulus_exponent": True}),
+    "forbidden-strings": (from_dict, {**_VALUATION_GAP, "forbidden": ["1"]}),
+    "forbidden-int": (from_dict, {**_VALUATION_GAP, "forbidden": 1}),
+    "forbidden-bools": (from_dict, {**_VALUATION_GAP, "forbidden": [True]}),
+    "verdict-not-a-dict": (verdict_from_dict, [_RULE]),
+    "verdict-no-status": (verdict_from_dict, {"rules": [_RULE]}),
+    "verdict-no-rules": (verdict_from_dict, {"status": "Dense"}),
+    "rule-no-id": (verdict_from_dict, {"status": "Dense", "rules": [{"citation": ""}]}),
+    "rule-no-citation": (verdict_from_dict, {"status": "Dense", "rules": [{"id": ""}]}),
+    "verdict-bad-certificate": (
+        verdict_from_dict,
+        {
+            "status": "NotDense",
+            "rules": [_RULE],
+            "certificate": {**_VALUATION_GAP, "forbidden": ["1"]},
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("parse, data", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_json_raises_value_error(parse, data):
+    # Certificates and verdicts read back from JSON follow the error
+    # contract: anything to_dict could not have written is a ValueError,
+    # never a TypeError, a KeyError or a certificate with a string prime.
+    with pytest.raises(ValueError):
+        parse(data)

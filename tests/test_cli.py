@@ -3,6 +3,7 @@ import json
 import re
 import shlex
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,16 @@ def test_bad_input_fails_closed(argv, code, capsys):
     err = capsys.readouterr().err
     assert ("error" in err) == (code != 0)
     assert "<lambda>" not in err
+
+
+def test_r5_pair_count_over_the_budget_fails_closed_within_a_second(capsys):
+    # 2000 * 1999 / 2 subform pairs, each an R1 decision, take seconds
+    # uncharged; over the budget R5 records one skip and tries none.
+    argv = ["decide", "--n", "4", "--coeffs", ",".join(["1"] * 2000), "--p", "5"]
+    start = time.perf_counter()
+    assert main([*argv, "--budget", "10"]) == 2
+    assert time.perf_counter() - start < 1
+    assert "subform search skipped" in capsys.readouterr().out
 
 
 def test_survey_list_error_names_the_expected_format(capsys):
@@ -341,6 +352,19 @@ def test_survey_grid_is_charged_to_the_budget(grid, budget, code, capsys):
     captured = capsys.readouterr()
     assert ("exceeds budget" in captured.err) == (code == 65)
     assert bool(captured.out) == (code == 0)
+
+
+def test_survey_row_over_the_budget_is_decided_without_building_p_to_the_r(
+    tmp_path, capsys
+):
+    # R4's (p^r - 1)/(p - 1) vectors at r = 300000 and p = 2^61 - 1: the
+    # charge refuses them before p^r (seconds to build) exists.
+    path = tmp_path / "wide.jsonl"
+    path.write_text(json.dumps({"n": 2, "coeffs": [1] * 300_000, "p": 2**61 - 1}))
+    start = time.perf_counter()
+    assert main(["survey", "--input", str(path), "--budget", "1000"]) == 0
+    assert time.perf_counter() - start < 3
+    assert capsys.readouterr().out.endswith(f",{2**61 - 1},Inconclusive,R6,,\r\n")
 
 
 def test_survey_row_error_recorded(tmp_path, capsys):

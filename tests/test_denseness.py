@@ -287,6 +287,22 @@ def test_r3_skips_over_budget_zero_search():
     assert verdict_from_dict(verdict_to_dict(verdict)) == verdict
 
 
+def test_r5_charges_its_pairs_at_the_budget_boundary():
+    # R3 (7^2 pairs) and R4 ((7^4 - 1)/6 vectors) are skipped at these
+    # budgets; the r(r-1)/2 = 6 pairs fit exactly at 6, and (1, 1) is Dense
+    # with no enumeration.
+    form = DiagonalForm(3, (1, 1, 1, 1))
+    assert decide(form, 7, budget=6).deciding_rule == "R5"
+    verdict = decide(form, 7, budget=5)
+    assert verdict.status == INCONCLUSIVE
+    assert verdict.trace[-2] == (
+        "R5",
+        "subform search skipped: its r(r-1)/2 pairs exceed the budget",
+        {"pairs": 6},
+    )
+    assert verdict_from_dict(verdict_to_dict(verdict)) == verdict
+
+
 @st.composite
 def _r5_case(draw):
     p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
@@ -303,13 +319,26 @@ def _r5_case(draw):
 @settings(max_examples=300, deadline=None)
 @given(_r5_case())
 def test_r5_agrees_with_decide_binary_on_every_subform(case):
-    # R5 by definition: walk the pairs in lexicographic order, record a skip
-    # for each pair whose decide_binary exceeds the budget, and cite the
-    # first Dense one with its R1 trace; R6 means no pair is Dense.
+    # R5 by definition: when the r(r-1)/2 pairs exceed the budget, record
+    # one skip and try none; otherwise walk the pairs in lexicographic
+    # order, record a skip for each pair whose decide_binary exceeds the
+    # budget, and cite the first Dense one with its R1 trace; R6 means no
+    # pair is Dense.
     n, p, coeffs, budget = case
     form = DiagonalForm(n, coeffs)
     verdict = decide(form, p, budget)
     if verdict.deciding_rule not in ("R5", "R6"):
+        return
+    pairs = form.r * (form.r - 1) // 2
+    if pairs > budget:
+        assert verdict.status == INCONCLUSIVE
+        r5 = [e for e in verdict.trace if e.rule == "R5"]
+        assert [(e.statement, e.params) for e in r5] == [
+            (
+                "subform search skipped: its r(r-1)/2 pairs exceed the budget",
+                {"pairs": pairs},
+            )
+        ]
         return
     skipped, dense = [], None
     for pair in itertools.combinations(range(form.r), 2):
@@ -368,16 +397,24 @@ def _rescaled_pair(draw):
     shifts = draw(
         st.lists(st.integers(0, 2), min_size=len(coeffs), max_size=len(coeffs))
     )
+    units = draw(
+        st.lists(
+            st.integers(2, 9).filter(lambda w: w % p),
+            min_size=len(coeffs),
+            max_size=len(coeffs),
+        )
+    )
     order = draw(st.permutations(range(len(coeffs))))
-    other = [c * coeffs[i] * p ** (n * shifts[i]) for i in order]
+    other = [c * coeffs[i] * units[i] ** n * p ** (n * shifts[i]) for i in order]
     return n, p, tuple(coeffs), tuple(other)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_rescaled_pair())
 def test_decide_invariant_under_quotient_preserving_maps(case):
-    # Scaling by c, permuting, and a_i -> p^(n t) a_i (x_i -> p^t x_i) all
-    # leave the quotient set unchanged.  budget=10_000 changes no verdict:
+    # Scaling by c, permuting, a_i -> p^(n t) a_i (x_i -> p^t x_i) and
+    # a_i -> w^n a_i for a unit w (x_i -> w x_i) all leave the quotient set
+    # unchanged.  budget=10_000 changes no verdict:
     # at p <= 13, r <= 4, n <= 12 every rule's enumeration fits under it.
     n, p, coeffs, other = case
     base = decide(DiagonalForm(n, coeffs), p, budget=10_000)

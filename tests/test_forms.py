@@ -1,10 +1,12 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qdense.errors import BudgetExceeded
 from qdense.forms import (
     DiagonalForm,
     find_nonsingular_zero_mod_p,
@@ -85,6 +87,28 @@ def test_anisotropy_examples():
     aniso, witness = is_anisotropic_mod_p(DiagonalForm(3, (1, 1, 1)), 7)
     assert not aniso and witness == (0, 1, 3)
     assert (0 + 1 + 27) % 7 == 0
+
+
+@pytest.mark.parametrize(
+    "n, coeffs, p, count",
+    [(3, (1, 1, 1), 7, 57), (2, (1, 1, 1), 2, 7), (2, (1,), 5, 1), (2, (1, 1), 13, 14)],
+)
+def test_anisotropy_charges_its_vectors_at_the_budget_boundary(n, coeffs, p, count):
+    # (p^r - 1)/(p - 1) vectors: a budget of exactly that many suffices.
+    form = DiagonalForm(n, coeffs)
+    assert is_anisotropic_mod_p(form, p, budget=count) == is_anisotropic_mod_p(form, p)
+    with pytest.raises(BudgetExceeded):
+        is_anisotropic_mod_p(form, p, budget=count - 1)
+
+
+def test_anisotropy_budget_checked_before_building_p_to_the_r():
+    # p^300000 at p = 2^61 - 1 takes seconds to build; p^(r-1) alone already
+    # exceeds the budget.
+    form = DiagonalForm(2, (1,) * 300_000)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        is_anisotropic_mod_p(form, 2**61 - 1, budget=1000)
+    assert time.perf_counter() - start < 1
 
 
 def test_anisotropy_witness_is_projective_representative():
@@ -209,6 +233,13 @@ def test_nonsingular_zero_random_slice():
         form = DiagonalForm(3, tuple(coeffs))
         vec = find_nonsingular_zero_mod_p(form, p)
         _check_nonsingular(form, p, vec)
+
+
+def test_nonsingular_zero_charges_p_squared_at_the_budget_boundary():
+    f = DiagonalForm(3, (1, 1, 1))
+    assert find_nonsingular_zero_mod_p(f, 7, budget=49) == (0, 1, 3)
+    with pytest.raises(BudgetExceeded, match="over 7\\^2 pairs exceeds budget 48"):
+        find_nonsingular_zero_mod_p(f, 7, budget=48)
 
 
 def test_nonsingular_zero_requires_ternary_cubic():

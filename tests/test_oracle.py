@@ -51,6 +51,33 @@ def test_enumerate_values_counts_residue_bitmask_against_budget():
         enumerate_values(DiagonalForm(3, (1, 1)), 2, B=1, K=40)
 
 
+@pytest.mark.parametrize(
+    "coeffs, p, B, K, V, count",
+    [
+        ((1, 2), 7, 2, 1, 0, 25),  # (2B + 1)^r box points
+        ((1,), 7, 0, 2, 0, 49),  # the p^K-bit residue mask
+        ((1, 2), 7, 1, 1, 3, 42),  # (2V + 1) levels x phi(p^K) units
+    ],
+)
+def test_oracle_charges_at_the_budget_boundary(coeffs, p, B, K, V, count):
+    form = DiagonalForm(3, coeffs)
+    at_budget = quotient_coverage(form, p, B=B, K=K, V=V, budget=count)
+    unbounded = quotient_coverage(form, p, B=B, K=K, V=V)
+    assert at_budget.quotients.hits == unbounded.quotients.hits
+    with pytest.raises(BudgetExceeded):
+        quotient_coverage(form, p, B=B, K=K, V=V, budget=count - 1)
+
+
+def test_budget_checked_before_building_the_box_size():
+    # 2*10^18 + 1 to the power 300000 takes seconds to build; r alone
+    # already exceeds the budget.
+    form = DiagonalForm(3, (1,) * 300_000)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        enumerate_values(form, 7, B=10**18, K=1, budget=1000)
+    assert time.perf_counter() - start < 1
+
+
 def test_budget_checked_before_building_p_to_the_K():
     # 13^(10^9) would take minutes to build; K alone already exceeds the budget.
     form = DiagonalForm(3, (1, 2))

@@ -57,6 +57,18 @@ def test_nth_power_residues_budget_checked_before_building_p_to_the_M():
     assert time.perf_counter() - start < 1
 
 
+def test_residue_enumerations_charge_at_the_budget_boundary():
+    # p^M = 7^2 units for the residue set, then a budget one short; the cached
+    # set must not let the second call skip its charge.
+    assert nth_power_residues(3, 7, 2, budget=49) == nth_power_residues(3, 7, 2)
+    with pytest.raises(BudgetExceeded, match="units mod 7\\^2 exceeds budget 48"):
+        nth_power_residues(3, 7, 2, budget=48)
+    # n = 3, p = 5: the start root is enumerated mod p^E = 5^2.
+    assert nth_root_in_Zp(2, 3, 5, 4, budget=25) == nth_root_in_Zp(2, 3, 5, 4)
+    with pytest.raises(BudgetExceeded, match="mod 5\\^2 exceeds budget 24"):
+        nth_root_in_Zp(2, 3, 5, 4, budget=24)
+
+
 def test_residue_set_closed_under_multiplication():
     for n, p, M in [(3, 7, 2), (4, 2, 4), (6, 3, 3), (5, 5, 2)]:
         rs = nth_power_residues(n, p, M)
