@@ -497,6 +497,13 @@ def verdict_from_dict(data: dict) -> Verdict:
         )
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed verdict: {exc!r}") from None
+    for rule, statement, params in trace:
+        if not (isinstance(rule, str) and isinstance(statement, str)
+                and isinstance(params, dict)):
+            raise ValueError(
+                "malformed verdict: a rule needs a string id and citation and "
+                f"dict params, got {(rule, statement, params)!r:.200}"
+            )
     return Verdict(
         status=status,
         trace=trace,

@@ -5,6 +5,9 @@ into its ball (valuation v, unit residue u mod p^K), forms all pairwise
 quotient classes, measures how much of each valuation level is covered,
 and checks NotDense certificates against the observed data.
 
+Each valuation level's classes stay one bitmask from the enumeration to
+the report; the sets of (v, u) keys are built only when read.
+
 The oracle is one-sided on purpose: it can refute a certificate exactly
 (any observed quotient inside a forbidden region is a disproof) but can
 only corroborate Dense verdicts through growing coverage; density is a
@@ -17,6 +20,7 @@ import csv
 import io
 import itertools
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -37,24 +41,60 @@ __all__ = [
 ]
 
 
+def _bits(mask: int):
+    """The positions of the set bits of mask, in increasing order."""
+    bits = bin(mask)[:1:-1]
+    i = bits.find("1")
+    while i >= 0:
+        yield i
+        i = bits.find("1", i + 1)
+
+
+def _mask(positions, size: int) -> int:
+    """The int with the given bit positions (each below size) set.
+
+    Up to 4096 bits the bits are OR-ed in one by one.  Above that they are
+    set in one bytearray: OR-ing each bit into a size-bit int would copy
+    the int once per bit.
+    """
+    if size <= 4096:
+        mask = 0
+        for i in positions:
+            mask |= 1 << i
+        return mask
+    buf = bytearray((size >> 3) + 1)
+    for i in positions:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
 @dataclass(frozen=True)
 class ValueClasses:
     """Observed (valuation, unit mod p^K) classes of F over a box.
 
-    `classes` is the set of (v, u) keys; `witness(key)` is the
-    lexicographically least box point realizing a key, from one scan of the
-    whole box in lexicographic order that keeps the least point of every class.
+    `levels` maps each observed valuation v, in increasing order, to a
+    bitmask over the residues mod p^K with bit u set when (v, u) is
+    observed.  `classes` is the set of (v, u) keys, built when first read;
+    `witness(key)` is the lexicographically least box point realizing a
+    key, from one scan of the whole box in lexicographic order that keeps
+    the least point of every class.
     """
 
     form: DiagonalForm
     p: int
     K: int
     B: int
-    classes: frozenset  # (v, u) keys
+    levels: dict  # valuation -> bitmask of the units mod p^K observed there
 
     @property
     def valuations(self) -> set:
-        return {v for v, _ in self.classes}
+        return set(self.levels)
+
+    @cached_property
+    def classes(self) -> frozenset:
+        return frozenset(
+            (v, u) for v, mask in self.levels.items() for u in _bits(mask)
+        )
 
     @cached_property
     def _least_points(self) -> dict:
@@ -83,20 +123,22 @@ class QuotientClassMap:
     """Quotient classes (v1 - v2 in [-V, V], u1/u2 mod p^K) hit by the
     observed values.
 
-    `hits` is the set of (v, u) keys; `witness(key)` finds the pair of
-    points realizing a key on demand.
+    `levels` maps each quotient valuation hit to a bitmask over unit
+    indices (`_unit_coordinates`), and `units[i]` is the unit of index i.
+    `hits` is the set of (v, u) keys, built when first read;
+    `witness(key)` finds the pair of points realizing a key on demand.
     """
 
     values: ValueClasses = field(repr=False)
-    hits: frozenset  # (v, u) keys
+    levels: dict  # quotient valuation -> bitmask of the unit indices hit
+    units: list = field(repr=False)
 
     @cached_property
-    def _levels(self) -> dict:
-        """Valuation level -> its sorted units, in increasing level order."""
-        levels = {}
-        for v, u in sorted(self.values.classes):
-            levels.setdefault(v, []).append(u)
-        return levels
+    def hits(self) -> frozenset:
+        units = self.units
+        return frozenset(
+            (v, units[i]) for v, mask in self.levels.items() for i in _bits(mask)
+        )
 
     def witness(self, key) -> tuple:
         """(numerator point, denominator point) for a hit key.
@@ -112,13 +154,14 @@ class QuotientClassMap:
         values = self.values
         pK = values.p**values.K
         u_inv = inverse_mod(u, pK)
-        for v1, level in self._levels.items():
-            if v1 - v not in self._levels:
+        for v1, mask in values.levels.items():
+            if v1 - v not in values.levels:
                 continue
-            for u1 in level:
-                partner = (v1 - v, u1 * u_inv % pK)
-                if partner in values.classes:
-                    return values.witness((v1, u1)), values.witness(partner)
+            partners = set(_bits(values.levels[v1 - v]))
+            for u1 in _bits(mask):
+                u2 = u1 * u_inv % pK
+                if u2 in partners:
+                    return values.witness((v1, u1)), values.witness((v1 - v, u2))
         raise AssertionError(f"hit {key} has no witness pair")
 
 
@@ -130,10 +173,19 @@ class CoverageReport:
     V: int
     B: int
     coverage: dict  # valuation level -> fraction of unit classes hit
-    missed: dict  # valuation level -> sorted tuple of unit classes not hit
     quotient_valuation_residues: frozenset  # all v1 - v2 mod n, unwindowed
     value_valuation_residues: frozenset  # all v_p(F(x)) mod n observed
     quotients: QuotientClassMap = field(repr=False)
+
+    @cached_property
+    def missed(self) -> dict:
+        """Valuation level -> sorted tuple of unit classes not hit."""
+        units, levels = self.quotients.units, self.quotients.levels
+        full = (1 << len(units)) - 1
+        return {
+            v: tuple(sorted(units[i] for i in _bits(full & ~levels.get(v, 0))))
+            for v in range(-self.V, self.V + 1)
+        }
 
     def overall_coverage(self) -> float:
         if not self.coverage:
@@ -163,14 +215,14 @@ class CoverageReport:
 
     def to_csv(self) -> str:
         """Hit matrix: rows are valuation levels, columns unit classes mod p^K."""
-        pK = self.p**self.K
-        units = [u for u in range(1, pK) if u % self.p]
+        units = self.quotients.units
+        columns = sorted(units)
         out = io.StringIO()
         writer = csv.writer(out)
-        writer.writerow(["valuation"] + units)
-        hits = self.quotients.hits
+        writer.writerow(["valuation"] + columns)
         for v in range(-self.V, self.V + 1):
-            writer.writerow([v] + [1 if (v, u) in hits else 0 for u in units])
+            hit = {units[i] for i in _bits(self.quotients.levels.get(v, 0))}
+            writer.writerow([v] + [1 if u in hit else 0 for u in columns])
         return out.getvalue()
 
 
@@ -181,6 +233,24 @@ class CheckResult:
     detail: str = ""
 
 
+def _split(bucket: list, p: int, pK: int) -> tuple:
+    """Split a bucket of monomial quotients q one p-adic digit down.
+
+    Returns the bucket's residue bitmask of q mod p^K, doubled so that one
+    right shift by pK - c is the cyclic shift by c, and its children: digit
+    d -> the quotients q // p of the q = d mod p.
+    """
+    children = {}
+    for q in bucket:
+        d = q % p
+        if d in children:
+            children[d].append(q // p)
+        else:
+            children[d] = [q // p]
+    mask = _mask([q % pK for q in bucket], pK)
+    return mask | mask << pK, children
+
+
 def enumerate_values(
     form: DiagonalForm, p, B: int, K: int, budget: int = DEFAULT_BUDGET
 ) -> ValueClasses:
@@ -189,16 +259,25 @@ def enumerate_values(
     The box is folded by sign.  For even n, F is unchanged by flipping the
     sign of a coordinate, so the points with every coordinate <= 0 reach
     every class.  For odd n, F(-x) = -F(x), so the points whose first
-    coordinate is <= 0 are visited and each class (v, u) found there also
-    gives (v, -u mod p^K).
+    coordinate is <= 0 are visited, and each level's mask is reflected,
+    u -> -u mod p^K, and joined to itself.
 
     A box row is a prefix sum s over the leading coordinates plus every
-    monomial t of the last one.  Its unit values, s + t prime to p, are
-    read off in one step: the residues of the monomials mod p^K form one
-    bitmask, and its cyclic shift by s mod p^K holds the residues of the
-    row.  Only the values divisible by p, t = -s mod p, are split into
-    p^v * unit one by one.  The bitmask has p^K bits, so p^K counts
-    against the budget.
+    monomial t of the last one.  Each valuation level v is read off a row
+    in one step.  The monomials are bucketed by t0 = t mod p^v, one p-adic
+    digit per level; a bucket keeps the quotients q = (t - t0) / p^v.  The
+    values s + t divisible by p^v are those of the bucket t0 = -s mod p^v,
+    and (s + t) / p^v = r + q with r = (s + t0) / p^v, so the bucket's
+    residue bitmask of q mod p^K shifted cyclically by r holds them all.
+    The shifted mask's bits prime to p are the row's level-v units; its
+    other bits belong to deeper levels.  A bucket is split (`_split`) the
+    first time a row reaches it.  A bucket of at most max(1, p^K // 64)
+    monomials, about the word count of one shift, takes the exact path
+    instead: each of its values, at every depth, is split into p^v * unit,
+    the residues are collected in a set, and each level's mask is built
+    from them once.  With one variable there is one row and nothing to
+    share, so every value takes the exact path.  The bitmasks have p^K
+    bits, so p^K counts against the budget.
     """
     p = as_prime(p)
     if B < 0:
@@ -212,39 +291,46 @@ def enumerate_values(
     folded, whole = range(-B, 1), range(-B, B + 1)
     ranges = [whole if odd and i else folded for i in range(form.r)]
     *heads, tail = [[a * x**n for x in xs] for a, xs in zip(form.coeffs, ranges)]
-    # The last coordinate's residue bitmask, doubled so that one right shift
-    # by pK - s is the cyclic shift by s, and its monomials bucketed mod p.
-    mask, by_residue = 0, {}
-    for t in tail:
-        mask |= 1 << t % pK
-        by_residue.setdefault(t % p, []).append(t)
-    doubled = mask | mask << pK
-    units = 0
-    classes = set()
+    limit = max(1, pK // 64) if heads else len(tail)
+    # A bucket is a list of quotients until it is split, then a tuple.
+    root = _split(tail, p, pK) if len(tail) > limit else tail
+    shifted = defaultdict(int)  # level -> the rows' shifted bucket masks
+    exact = defaultdict(set)  # level -> residues found on the exact path
     for prefix in map(sum, itertools.product(*heads)):
-        units |= doubled >> pK - prefix % pK
-        for monomial in by_residue.get(-prefix % p, ()):
-            value = prefix + monomial
+        node, r, v = root, prefix, 0
+        while type(node) is tuple and node:
+            doubled, children = node
+            shifted[v] |= doubled >> pK - r % pK
+            d = -r % p
+            node = children.get(d, ())
+            if len(node) > limit and type(node) is list:
+                node = children[d] = _split(node, p, pK)
+            r = (r + d) // p
+            v += 1
+        for q in node:
+            value = r + q
             if value == 0:
                 continue
-            # Inline, not split_power: a call per value slows this hot loop.
-            value //= p
-            v = 1
+            # Inline, not split_power: a call per value slows this loop.
+            w = v
             while value % p == 0:
                 value //= p
-                v += 1
-            classes.add((v, value % pK))
-    # full // (2^p - 1) has bits 0, p, 2p, ...: the multiples of p.  The
-    # other bits of `units` below pK are the unit residues some row reached.
+                w += 1
+            exact[w].add(value % pK)
+    # full // (2^p - 1) has bits 0, p, 2p, ...: the multiples of p.
     full = (1 << pK) - 1
-    bits = bin(units & full & ~(full // ((1 << p) - 1)))[:1:-1]
-    u = bits.find("1")
-    while u >= 0:
-        classes.add((0, u))
-        u = bits.find("1", u + 1)
+    unit_bits = full & ~(full // ((1 << p) - 1))
+    levels = {v: mask & unit_bits for v, mask in shifted.items() if mask & unit_bits}
+    for v, residues in exact.items():
+        levels[v] = levels.get(v, 0) | _mask(residues, pK)
     if odd:
-        classes |= {(v, -u % pK) for v, u in classes}
-    return ValueClasses(form=form, p=p, K=K, B=B, classes=frozenset(classes))
+        # Reversing the pK-bit string sends bit u to pK - 1 - u; one more
+        # left shift gives -u mod pK (bit 0, a non-unit, is never set).
+        levels = {
+            v: mask | int(format(mask, f"0{pK}b")[::-1], 2) << 1
+            for v, mask in levels.items()
+        }
+    return ValueClasses(form=form, p=p, K=K, B=B, levels=dict(sorted(levels.items())))
 
 
 def _primitive_root(p: int, K: int) -> int:
@@ -301,22 +387,22 @@ def _quotient_map(values: ValueClasses, V: int) -> QuotientClassMap:
     """The quotient classes u1/u2 of every pair of observed value classes
     whose valuations differ by at most V.
 
-    Each valuation level's units become a bitmask over unit coordinates
-    (`_unit_coordinates`), so the units of level v1 times the inverses of
-    level v2 are a union of cyclic shifts of one bitmask, one per unit of
-    the smaller level, instead of a product of every pair.
+    Each valuation level's residue mask is re-indexed into a bitmask over
+    unit coordinates (`_unit_coordinates`), so the units of level v1 times
+    the inverses of level v2 are a union of cyclic shifts of one bitmask,
+    one per unit of the smaller level, instead of a product of every pair.
+    The result keeps one unit-index mask per quotient level.
     """
     T, units, index = _unit_coordinates(values.p, values.K)
     phi = len(units)
     full = (1 << phi) - 1
     even_bits = full // 3  # the index a = 0 of every pair, when T = 2
     masks, inverse_masks = {}, {}  # valuation level -> bitmask of U, of U^-1
-    for v, u in values.classes:
-        i = index[u]
-        a = i % T
-        masks[v] = masks.get(v, 0) | 1 << i
+    for v, residues in values.levels.items():
+        indices = [index[u] for u in _bits(residues)]
+        masks[v] = _mask(indices, phi)
         # (t^a * g^b)^-1 = t^a * g^-b, as t^2 = 1.
-        inverse_masks[v] = inverse_masks.get(v, 0) | 1 << (-(i - a) % phi + a)
+        inverse_masks[v] = _mask((-(i - i % T) % phi + i % T for i in indices), phi)
 
     def times(mask, other):
         # The product set mask * other: one shift of mask per unit of other.
@@ -345,13 +431,7 @@ def _quotient_map(values: ValueClasses, V: int) -> QuotientClassMap:
             else:
                 product = times(inverse_mask, mask)
             per_level[v] = per_level.get(v, 0) | product
-    hits = frozenset(
-        (v, units[i])
-        for v, mask in per_level.items()
-        for i, bit in enumerate(reversed(bin(mask)))
-        if bit == "1"
-    )
-    return QuotientClassMap(values=values, hits=hits)
+    return QuotientClassMap(values=values, levels=per_level, units=units)
 
 
 def quotient_coverage(
@@ -366,19 +446,19 @@ def quotient_coverage(
 
     enumerate_values charges p^K against the budget; the (2V + 1) x phi(p^K)
     level x unit table that `missed` and the reports hold is charged here.
+    Coverage is each level's popcount over phi(p^K); `missed` is built
+    when first read.
     """
     if V < 0:
         raise ValueError(f"valuation window V must be >= 0, got {V}")
     p = as_prime(p)
     values = enumerate_values(form, p, B, K, budget)
-    units = [u for u in range(1, p**K) if u % p]
-    charge(budget, f"{2*V+1} x {len(units)} coverage table", (2 * V + 1) * len(units))
+    pK = p**K
+    phi = pK - pK // p
+    charge(budget, f"{2*V+1} x {phi} coverage table", (2 * V + 1) * phi)
     quotients = _quotient_map(values, V)
-    hits = quotients.hits
-    missed = {
-        v: tuple(u for u in units if (v, u) not in hits) for v in range(-V, V + 1)
-    }
-    coverage = {v: (len(units) - len(missed[v])) / len(units) for v in missed}
+    levels = quotients.levels
+    coverage = {v: levels.get(v, 0).bit_count() / phi for v in range(-V, V + 1)}
     vals = values.valuations
     return CoverageReport(
         form=form,
@@ -387,7 +467,6 @@ def quotient_coverage(
         V=V,
         B=B,
         coverage=coverage,
-        missed=missed,
         quotient_valuation_residues=frozenset(
             (v1 - v2) % form.n for v1 in vals for v2 in vals
         ),
@@ -401,9 +480,9 @@ def check_certificate(certificate, report: CoverageReport) -> CheckResult:
 
     ValuationGap: no observed quotient valuation may fall in the forbidden
     residue set mod n.  ResidueGap at exponent e: no observed valuation-0
-    quotient class may be congruent to the named unit mod p^e.  Any
-    violation is returned with its witness pair: a concrete disproof of
-    the engine verdict.
+    quotient class may be congruent to the named unit mod p^e; only the
+    level-0 mask is read.  Any violation is returned with its witness
+    pair: a concrete disproof of the engine verdict.
     """
     if certificate.p != report.p or certificate.n != report.form.n:
         raise ValueError(
@@ -437,11 +516,11 @@ def check_certificate(certificate, report: CoverageReport) -> CheckResult:
             )
         pe = report.p**e
         target = certificate.unit_class % pe
-        matching = [
-            k for k in report.quotients.hits if k[0] == 0 and k[1] % pe == target
-        ]
+        units = report.quotients.units
+        level0 = report.quotients.levels.get(0, 0)
+        matching = [units[i] for i in _bits(level0) if units[i] % pe == target]
         if matching:
-            key = min(matching)
+            key = (0, min(matching))
             return CheckResult(
                 False,
                 witness=report.quotients.witness(key),

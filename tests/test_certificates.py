@@ -104,6 +104,24 @@ MALFORMED = {
     "verdict-no-rules": (verdict_from_dict, {"status": "Dense"}),
     "rule-no-id": (verdict_from_dict, {"status": "Dense", "rules": [{"citation": ""}]}),
     "rule-no-citation": (verdict_from_dict, {"status": "Dense", "rules": [{"id": ""}]}),
+    "rule-int-id": (
+        verdict_from_dict,
+        {
+            "status": "Dense",
+            "rules": [
+                {"id": 5, "citation": None, "params": [1]},
+                {"id": "R1", "citation": "x"},
+            ],
+        },
+    ),
+    "rule-null-citation": (
+        verdict_from_dict,
+        {"status": "Dense", "rules": [{"id": "R1", "citation": None}]},
+    ),
+    "rule-list-params": (
+        verdict_from_dict,
+        {"status": "Dense", "rules": [{"id": "R1", "citation": "x", "params": [1]}]},
+    ),
     "verdict-bad-certificate": (
         verdict_from_dict,
         {

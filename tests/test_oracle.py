@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import random
 import time
@@ -7,10 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qdense import oracle
 from qdense.denseness import ResidueGap, ValuationGap, decide
 from qdense.errors import BudgetExceeded
 from qdense.forms import DiagonalForm
 from qdense.oracle import (
+    CheckResult,
     _quotient_map,
     _unit_coordinates,
     check_certificate,
@@ -189,6 +193,9 @@ def _compare_with_reference(form, p, B, K, V):
 @example((DiagonalForm(5, (3,)), 2, 9, 3, 2))  # odd n: the one coordinate is folded
 @example((DiagonalForm(4, (1, -3)), 3, 0, 2, 1))  # B = 0: the origin only
 @example((DiagonalForm(3, (1, 2, 7)), 7, 2, 2, 3))  # odd n, a p-power coefficient
+@example((DiagonalForm(4, (1, -3)), 2, 40, 2, 2))  # buckets split 3+ digits deep
+@example((DiagonalForm(4, (2, -27)), 3, 12, 9, 4))  # 3^9, short tail: all exact
+@example((DiagonalForm(3, (1, 6)), 2, 12, 4, 3))  # odd n reflected in {+-1} x <5>
 def test_kernel_matches_reference(case):
     quotients, hits = _compare_with_reference(*case)
     for key in quotients.hits:
@@ -202,6 +209,35 @@ def test_kernel_matches_reference_on_wide_boxes(case):
     quotients, hits = _compare_with_reference(*case)
     for key in quotients.hits:
         assert quotients.witness(key) == hits[key]
+
+
+def _split_depths(monkeypatch, form, p, B, K):
+    """The level of every bucket split while enumerating, root = 0."""
+    depths, level = [], {}
+    split = oracle._split
+
+    def recording(bucket, p, pK):
+        depth = level.get(id(bucket), 0)
+        depths.append(depth)
+        node = split(bucket, p, pK)
+        for child in node[1].values():
+            level[id(child)] = depth + 1
+        return node
+
+    monkeypatch.setattr(oracle, "_split", recording)
+    enumerate_values(form, p, B, K)
+    return depths
+
+
+def test_bucket_walk_reaches_the_paths_the_examples_name(monkeypatch):
+    # The kernel examples above exercise each path of the bucket walk.
+    deep = _split_depths(monkeypatch, DiagonalForm(4, (1, -3)), 2, 40, 2)
+    assert max(deep) >= 3
+    # 13 monomials fit the exact-path limit 3^9 // 64 = 307: nothing splits.
+    assert _split_depths(monkeypatch, DiagonalForm(4, (2, -27)), 3, 12, 9) == []
+    assert _split_depths(monkeypatch, DiagonalForm(3, (1, 6)), 2, 12, 4)
+    # One row (r = 1) shares no bucket, so every value takes the exact path.
+    assert _split_depths(monkeypatch, DiagonalForm(3, (5,)), 2, 500, 2) == []
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
@@ -323,6 +359,89 @@ def test_check_fabricated_residue_gap_contradicted():
     q_num, q_den = f.evaluate(num), f.evaluate(den)
     assert q_num % 7 != 0 and q_den % 7 != 0
     assert q_num * inverse_mod(q_den % 7, 7) % 7 == 5
+
+
+def _reference_check(certificate, form, p, K, classes, hits):
+    """check_certificate on the (v, u) key sets and stored witnesses."""
+    n = form.n
+    vals = {v for v, _ in classes}
+    if isinstance(certificate, ValuationGap):
+        bad = {(a - b) % n for a in vals for b in vals} & certificate.forbidden
+        if not bad:
+            return CheckResult(True, detail="no forbidden quotient valuation observed")
+        residue = min(bad)
+        in_window = [k for k in hits if k[0] % n == residue]
+        if in_window:
+            key = min(in_window)
+            return CheckResult(
+                False,
+                witness=hits[key],
+                detail=f"quotient valuation {key[0]} = {residue} mod {n} is forbidden",
+            )
+        detail = f"forbidden valuation residue {residue} observed outside window"
+        return CheckResult(False, detail=detail)
+    e = certificate.modulus_exponent
+    target = certificate.unit_class % p**e
+    matching = [k for k in hits if k[0] == 0 and k[1] % p**e == target]
+    if matching:
+        key = min(matching)
+        detail = f"valuation-0 quotient with unit {key[1]} = {target} mod {p}^{e} observed"
+        return CheckResult(False, witness=hits[key], detail=detail)
+    return CheckResult(True, detail=f"no valuation-0 quotient hits {target} mod {p}^{e}")
+
+
+@st.composite
+def _certificate_case(draw):
+    form, p, B, K, V = draw(_oracle_case([(0, 6), (0, 4), (0, 2)]))
+    n = form.n
+    if draw(st.booleans()):
+        forbidden = draw(st.sets(st.integers(0, n - 1), min_size=1))
+        certificate = ValuationGap(p=p, n=n, forbidden=frozenset(forbidden))
+    else:
+        e = draw(st.integers(1, K))
+        unit = draw(st.integers(1, p**e - 1).filter(lambda u: u % p))
+        certificate = ResidueGap(p=p, n=n, unit_class=unit, modulus_exponent=e)
+    return (form, p, B, K, V), certificate
+
+
+@settings(max_examples=150, deadline=None)
+@given(_certificate_case())
+@example(  # a refuted ResidueGap: F(0, 3) / F(1, 0) = 54 = 5 mod 7
+    ((DiagonalForm(3, (1, 2)), 7, 4, 2, 3), ResidueGap(7, 3, 5, 1))
+)
+@example(  # a ValuationGap refuted only outside the window V = 0
+    ((DiagonalForm(3, (1, 7)), 7, 3, 1, 0), ValuationGap(7, 3, frozenset({1})))
+)
+def test_check_certificate_matches_per_class_reference(case):
+    (form, p, B, K, V), certificate = case
+    classes = _reference_classes(form, p, B, K)
+    hits = _reference_hits(classes, p, K, V)
+    report = quotient_coverage(form, p, B, K, V)
+    expected = _reference_check(certificate, form, p, K, classes, hits)
+    assert check_certificate(certificate, report) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(_oracle_case([(0, 6), (0, 4), (0, 2)]))
+def test_report_matches_per_class_definitions(case):
+    # coverage, missed and the CSV hit matrix as read off the (v, u) hit set.
+    form, p, B, K, V = case
+    hits = _reference_hits(_reference_classes(form, p, B, K), p, K, V)
+    units = [u for u in range(1, p**K) if u % p]
+    missed = {
+        v: tuple(u for u in units if (v, u) not in hits) for v in range(-V, V + 1)
+    }
+    report = quotient_coverage(form, p, B, K, V)
+    assert report.missed == missed
+    assert report.coverage == {
+        v: (len(units) - len(missed[v])) / len(units) for v in missed
+    }
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["valuation"] + units)
+    for v in range(-V, V + 1):
+        writer.writerow([v] + [1 if (v, u) in hits else 0 for u in units])
+    assert report.to_csv() == out.getvalue()
 
 
 def test_check_parameter_mismatch():
