@@ -69,10 +69,6 @@ def _int_list(text: str) -> list:
         ) from None
 
 
-def _form_from_args(args) -> DiagonalForm:
-    return DiagonalForm(args.n, args.coeffs)
-
-
 def _budget(args) -> int:
     env = os.environ.get("QDENSE_BUDGET")
     try:
@@ -98,14 +94,14 @@ def _print_verdict(verdict, as_json: bool):
 
 
 def cmd_decide(args) -> int:
-    form = _form_from_args(args)
+    form = DiagonalForm(args.n, args.coeffs)
     verdict = decide(form, args.p, budget=_budget(args))
     _print_verdict(verdict, args.json)
     return EXIT_BY_STATUS[verdict.status]
 
 
 def cmd_oracle(args) -> int:
-    form = _form_from_args(args)
+    form = DiagonalForm(args.n, args.coeffs)
     budget = _budget(args)
     V = args.V if args.V is not None else form.n
     report = quotient_coverage(form, args.p, B=args.box, K=args.K, V=V, budget=budget)
@@ -274,7 +270,7 @@ def cmd_residues(args) -> int:
 
 
 def cmd_aniso(args) -> int:
-    form = _form_from_args(args)
+    form = DiagonalForm(args.n, args.coeffs)
     aniso, witness = is_anisotropic_mod_p(form, args.p, budget=_budget(args))
     if args.json:
         print(

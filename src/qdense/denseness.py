@@ -76,12 +76,20 @@ INCONCLUSIVE = "Inconclusive"
 
 
 class RuleApplication(namedtuple("RuleApplication", "rule statement params")):
-    """One trace entry; every entry gets its own params dict."""
+    """One trace entry: a string rule id and citation, and its own params
+    dict; anything else raises ValueError."""
 
     __slots__ = ()
 
     def __new__(cls, rule, statement, params=None):
-        return tuple.__new__(cls, (rule, statement, {} if params is None else params))
+        params = {} if params is None else params
+        if not (isinstance(rule, str) and isinstance(statement, str)
+                and isinstance(params, dict)):
+            raise ValueError(
+                "a rule needs a string id and citation and dict params, "
+                f"got {(rule, statement, params)!r:.200}"
+            )
+        return tuple.__new__(cls, (rule, statement, params))
 
 
 class Verdict(namedtuple("Verdict", "status trace certificate")):
@@ -155,15 +163,7 @@ def decide_binary(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdic
     p = as_prime(p)
     n, M = form.n, stabilization_exponent(form.n, p)
     delta, la, lb = normalize_binary(form, p)
-    status, closing = _decide_pair(n, p, M, delta, la, lb, budget)
-    certificate = None
-    if status == NOT_DENSE:
-        params = closing.params
-        certificate = (
-            ResidueGap(p=p, n=n, unit_class=params["m"], modulus_exponent=1)
-            if "m" in params
-            else ValuationGap(p=p, n=n, forbidden=frozenset(params["forbidden"]))
-        )
+    status, certificate, closing = _decide_pair(n, p, M, delta, la, lb, budget)
     return Verdict(status, _r1_trace(n, M, delta, la, lb, closing), certificate)
 
 
@@ -183,15 +183,16 @@ def _r1_trace(n, M, delta, la, lb, closing) -> tuple:
 
 def _decide_pair(n, p, M, delta, la, lb, budget) -> tuple:
     """R1 after the normalize step, for p^delta*la*x^n + lb*y^n (units la, lb):
-    (status, closing entry).  A NotDense entry's params name its certificate:
-    `forbidden` valuation classes, or a unit `m` missed mod p."""
+    (status, certificate, closing entry).  The certificate is None unless
+    the status is NotDense; then it is a ValuationGap on the entry's
+    `forbidden` classes, or a ResidueGap on the unit `m` it misses mod p."""
     d = delta % n
     pM = p**M
 
     if d == 0:
         m0 = (-inverse_mod(la % pM, pM) * lb) % pM
         if is_nth_power_residue(m0, n, p, M):
-            return DENSE, RuleApplication(
+            return DENSE, None, RuleApplication(
                 "R1",
                 "the unit ratio -la^{-1}*lb is an nth-power residue mod "
                 "p^M, hence an nth power of a p-adic unit (residue "
@@ -204,7 +205,8 @@ def _decide_pair(n, p, M, delta, la, lb, budget) -> tuple:
         offsets = _cancellation_offsets(m0, n, p, M, budget)
         covers, missing = difference_cover_check(offsets, n)
         if not covers:
-            return NOT_DENSE, RuleApplication(
+            gap = ValuationGap(p, n, missing)
+            return NOT_DENSE, gap, RuleApplication(
                 "R1",
                 "the unit ratio m0 is not an nth-power residue mod p^M, "
                 "so cancellation between the two monomials stops at the "
@@ -218,7 +220,7 @@ def _decide_pair(n, p, M, delta, la, lb, budget) -> tuple:
         # parameter, so its unit classes saturate and every ball is hit.
         if (p, n) != (3, 3):
             raise AssertionError("offset saturation outside p = n = 3")
-        return DENSE, RuleApplication(
+        return DENSE, None, RuleApplication(
             "R1",
             "cancellation-depth saturation: the offsets realize every "
             "valuation class mod n, and at depth-1 cancellation the "
@@ -231,7 +233,8 @@ def _decide_pair(n, p, M, delta, la, lb, budget) -> tuple:
     # n does not divide delta.
     covers, missing = difference_cover_check({0, d}, n)
     if not covers:
-        return NOT_DENSE, RuleApplication(
+        gap = ValuationGap(p, n, missing)
+        return NOT_DENSE, gap, RuleApplication(
             "R1",
             "the two monomials always have distinct valuations mod n, "
             "so no cancellation ever occurs: value valuations lie in "
@@ -242,7 +245,8 @@ def _decide_pair(n, p, M, delta, la, lb, budget) -> tuple:
     # n == 3 with d in {1, 2}: valuations cover Z/3, so units decide.
     m = _smallest_non_residue(n, p)
     if m is not None:
-        return NOT_DENSE, RuleApplication(
+        gap = ResidueGap(p, n, m, 1)
+        return NOT_DENSE, gap, RuleApplication(
             "R1",
             "every valuation-zero quotient is a ratio of values from "
             "non-cancelling levels, hence congruent mod p to a ratio of "
@@ -250,7 +254,7 @@ def _decide_pair(n, p, M, delta, la, lb, budget) -> tuple:
             "ball around m at valuation zero is never hit",
             {"d": d, "m": m},
         )
-    return DENSE, RuleApplication(
+    return DENSE, None, RuleApplication(
         "R1",
         "valuation classes {0, d, -d} cover Z/3 and every unit is an "
         "nth-power residue mod p, so one valuation level has saturated "
@@ -312,11 +316,7 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
                         {"residues": list(prof.residues), "forbidden": missing},
                     )
                 )
-                return Verdict(
-                    NOT_DENSE,
-                    tuple(trace),
-                    ValuationGap(p=p, n=n, forbidden=frozenset(missing)),
-                )
+                return Verdict(NOT_DENSE, tuple(trace), ValuationGap(p, n, missing))
             if gate:
                 trace.append(
                     RuleApplication(
@@ -396,11 +396,7 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
                     },
                 )
             )
-            return Verdict(
-                NOT_DENSE,
-                tuple(trace),
-                ValuationGap(p=p, n=n, forbidden=frozenset(range(1, n))),
-            )
+            return Verdict(NOT_DENSE, tuple(trace), ValuationGap(p, n, range(1, n)))
 
     if n >= 3 and form.r >= 3:
         M = stabilization_exponent(n, p)
@@ -419,7 +415,7 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
                 continue
             delta = vals[i] - vals[j]
             try:
-                status, closing = _decide_pair(
+                status, _, closing = _decide_pair(
                     n, p, M, delta, units[i], units[j], budget
                 )
             except BudgetExceeded:
@@ -488,7 +484,9 @@ def verdict_to_dict(verdict: Verdict) -> dict:
 
 
 def verdict_from_dict(data: dict) -> Verdict:
-    """The verdict `verdict_to_dict` wrote; anything else raises ValueError."""
+    """The verdict `verdict_to_dict` wrote; anything else raises ValueError.
+    Only the shape (a status, rules with an id and a citation) is read here:
+    `RuleApplication`, `Verdict` and the certificates check their fields."""
     try:
         status, raw = data["status"], data.get("certificate")
         trace = tuple(
@@ -497,15 +495,4 @@ def verdict_from_dict(data: dict) -> Verdict:
         )
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed verdict: {exc!r}") from None
-    for rule, statement, params in trace:
-        if not (isinstance(rule, str) and isinstance(statement, str)
-                and isinstance(params, dict)):
-            raise ValueError(
-                "malformed verdict: a rule needs a string id and citation and "
-                f"dict params, got {(rule, statement, params)!r:.200}"
-            )
-    return Verdict(
-        status=status,
-        trace=trace,
-        certificate=None if raw is None else certificate_from_dict(raw),
-    )
+    return Verdict(status, trace, None if raw is None else certificate_from_dict(raw))

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import DEFAULT_BUDGET, charge
 from .padic import as_prime, split_power
@@ -28,15 +27,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, init=False)
-class DiagonalForm:
+class DiagonalForm(namedtuple("DiagonalForm", "n coeffs")):
     """Degree-n diagonal form with nonzero integer coefficients; a float or
     string degree or coefficient raises TypeError, it is never truncated."""
 
-    n: int
-    coeffs: tuple
+    __slots__ = ()
 
-    def __init__(self, n, coeffs):
+    def __new__(cls, n, coeffs):
         n, coeffs = operator.index(n), tuple(map(operator.index, coeffs))
         if n < 2:
             raise ValueError("degree must be >= 2")
@@ -44,8 +41,7 @@ class DiagonalForm:
             raise ValueError("need at least one coefficient")
         if 0 in coeffs:
             raise ValueError("coefficients must be nonzero")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", coeffs)
+        return tuple.__new__(cls, (n, coeffs))
 
     @property
     def r(self) -> int:
@@ -136,15 +132,15 @@ def find_nonsingular_zero_mod_p(form: DiagonalForm, p, budget: int = DEFAULT_BUD
     raise ValueError(f"no non-singular zero of {form} over F_{p}")
 
 
-class ValuationProfile(NamedTuple):
-    """Coefficient valuations, their classes mod n and unit cofactors.
-    When the classes are pairwise distinct they are exactly the attainable
-    value valuations mod n."""
+class ValuationProfile(
+    namedtuple("ValuationProfile", "valuations residues pairwise_distinct unit_parts")
+):
+    """Coefficient valuations, their classes mod n (`residues`, in
+    coefficient order), whether those are pairwise distinct, and the unit
+    cofactors.  When the classes are pairwise distinct they are exactly the
+    attainable value valuations mod n."""
 
-    valuations: tuple
-    residues: tuple  # v_p(a_i) mod n, in coefficient order
-    pairwise_distinct: bool
-    unit_parts: tuple
+    __slots__ = ()
 
 
 def valuation_profile(form: DiagonalForm, p) -> ValuationProfile:

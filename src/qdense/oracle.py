@@ -20,7 +20,7 @@ import csv
 import io
 import itertools
 import json
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -227,11 +227,13 @@ class CoverageReport:
         return out.getvalue()
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    consistent: bool
-    witness: tuple = None  # (numerator point, denominator point) on refutation
-    detail: str = ""
+class CheckResult(
+    namedtuple("CheckResult", "consistent witness detail", defaults=(None, ""))
+):
+    """A certificate check; on refutation `witness` is the (numerator point,
+    denominator point) pair that disproves it."""
+
+    __slots__ = ()
 
 
 def _split(bucket: list, p: int, pK: int) -> tuple:

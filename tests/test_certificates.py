@@ -1,11 +1,14 @@
 import json
+import pickle
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from qdense.certificates import ResidueGap, ValuationGap, from_dict, to_dict
-from qdense.denseness import verdict_from_dict
+from qdense.denseness import RuleApplication, decide, verdict_from_dict
+from qdense.forms import DiagonalForm, valuation_profile
+from qdense.oracle import CheckResult
 
 primes = st.sampled_from([2, 3, 5, 7, 11, 13])
 degrees = st.integers(min_value=2, max_value=12)
@@ -140,3 +143,84 @@ def test_malformed_json_raises_value_error(parse, data):
     # never a TypeError, a KeyError or a certificate with a string prime.
     with pytest.raises(ValueError):
         parse(data)
+
+
+# Each record's constructor is its one validator; from_dict and
+# verdict_from_dict only check shape, so what a constructor builds the
+# reader reads back, and what a reader rejects the constructor rejects too.
+CONSTRUCTOR_REJECTS = {
+    "forbidden-float": lambda: ValuationGap(p=5, n=3, forbidden=[1.0]),
+    "p-bool": lambda: ValuationGap(p=True, n=3, forbidden=[1]),
+    "p-string": lambda: ResidueGap(p="7", n=3, unit_class=2, modulus_exponent=1),
+    "rule-int-id-and-citation": lambda: RuleApplication(1, 2),
+}
+
+
+@pytest.mark.parametrize("build", CONSTRUCTOR_REJECTS.values(),
+                         ids=CONSTRUCTOR_REJECTS.keys())
+def test_constructors_reject_wrong_field_types(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def _complete_certificate_payloads():
+    """(id, class, fields) for every MALFORMED certificate payload, nested in
+    a verdict or not, that names all of its kind's fields."""
+    kinds = {cls.__name__: cls for cls in (ValuationGap, ResidueGap)}
+    for key, (_, data) in MALFORMED.items():
+        cert = data.get("certificate", data) if isinstance(data, dict) else None
+        kind = cert.get("kind") if isinstance(cert, dict) else None
+        cls = kinds.get(kind) if isinstance(kind, str) else None
+        if cls is not None and set(cls._fields) <= cert.keys():
+            yield key, cls, {name: cert[name] for name in cls._fields}
+
+
+COMPLETE_PAYLOADS = list(_complete_certificate_payloads())
+
+
+def test_complete_payloads_found():
+    assert len(COMPLETE_PAYLOADS) >= 10, "the walk found too few payloads"
+
+
+@pytest.mark.parametrize("key, cls, fields", COMPLETE_PAYLOADS,
+                         ids=[key for key, _, _ in COMPLETE_PAYLOADS])
+def test_malformed_certificate_is_rejected_by_its_constructor(key, cls, fields):
+    with pytest.raises(ValueError):
+        cls(**fields)
+
+
+@pytest.mark.parametrize(
+    "key", ["rule-int-id", "rule-null-citation", "rule-list-params"]
+)
+def test_malformed_rule_is_rejected_by_its_constructor(key):
+    rule = MALFORMED[key][1]["rules"][0]
+    with pytest.raises(ValueError):
+        RuleApplication(rule["id"], rule["citation"], rule.get("params"))
+
+
+RECORDS = {
+    "ValuationGap": ValuationGap(p=7, n=3, forbidden=frozenset({1, 2})),
+    "ResidueGap": ResidueGap(p=7, n=3, unit_class=2, modulus_exponent=1),
+    "RuleApplication": RuleApplication("R1", "a rule", {"d": 1}),
+    "Verdict": decide(DiagonalForm(3, (1, 2)), 7),
+    "CheckResult": CheckResult(False, ((1, 0), (0, 1)), "refuted"),
+    "DiagonalForm": DiagonalForm(3, (1, -2, 5)),
+    "ValuationProfile": valuation_profile(DiagonalForm(3, (1, 14, 49)), 7),
+}
+
+
+@pytest.mark.parametrize("record", RECORDS.values(), ids=RECORDS.keys())
+def test_records_are_immutable_and_pickle(record):
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is type(record) and copy == record
+
+
+def test_records_compare_equal_to_the_tuple_of_their_fields():
+    # An intended consequence of the named-tuple records, as for Verdict.
+    assert ValuationGap(7, 3, [1]) == (7, 3, frozenset({1}))
+    assert DiagonalForm(3, [1, 2]) == (3, (1, 2))

@@ -1,7 +1,8 @@
 """Import hygiene of the package: every import sits at module level,
 neither the oracle nor the certificate module imports the rule engine, and
 the rule engine imports nothing from the oracle, so the oracle is evidence
-independent of the engine whose certificates it checks.  Every exported
+independent of the engine whose certificates it checks.  Only the oracle
+imports `dataclasses`, and no module imports `typing`.  Every exported
 name is bound, every docstring example runs, and every function the
 benchmark tracer wraps exists and is labelled with the verdict's own
 deciding rule."""
@@ -69,6 +70,21 @@ def _imports_of(name):
 def test_no_engine_import_from(name):
     bad = [t for t in _imports_of(name) if t.split(".")[-1] == "denseness"]
     assert not bad, f"{name} imports the rule engine: {bad}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_records_are_named_tuples(path):
+    """Records are validating named tuples; only the oracle keeps dataclasses,
+    for the reports whose members fill lazily, and nothing imports typing."""
+    tree = ast.parse(path.read_text())
+    imported = {
+        target.lstrip(".").split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for target in _imported_modules(node)
+    }
+    banned = {"typing"} | ({"dataclasses"} if path.name != "oracle.py" else set())
+    assert not imported & banned, f"{path.name} imports {sorted(imported & banned)}"
 
 
 def test_no_oracle_import_from_engine():
