@@ -3,23 +3,24 @@
 A ValuationGap lists residues mod n that no quotient valuation attains; a
 ResidueGap names a unit class mod p^e never hit by a valuation-zero
 quotient.  Both are exact finite claims that the oracle can check against
-enumeration.  Each constructor is the certificate's one validator: a field
-or forbidden class that is not an int (a bool included) raises ValueError,
-and so does a claim the oracle could not refute (a class outside [0, n), a
-unit class that is not a unit mod p, an exponent below 1).  Certificates
-are named tuples, so like `Verdict` they compare equal to the plain tuple
-of their fields.  The JSON form is {"kind": class name, then the fields in
-declaration order}, with frozensets written as sorted lists.
+enumeration.  Each constructor is the certificate's one validator, also
+under `_make` and `_replace`: a field or forbidden class that is not an int
+(a bool included) raises ValueError, and so does a claim the oracle could
+not refute (a class outside [0, n), a unit class that is not a unit mod p,
+an exponent below 1).  Certificates are named tuples, so like `Verdict`
+they compare equal to the plain tuple of their fields.  The JSON form is
+{"kind": class name, then the fields in declaration order}, with frozensets
+written as sorted lists.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from .errors import record
 
 __all__ = ["ValuationGap", "ResidueGap", "to_dict", "from_dict"]
 
 
-class ValuationGap(namedtuple("ValuationGap", "p n forbidden")):
+class ValuationGap(record("ValuationGap", "p n forbidden")):
     """No quotient of nonzero values has valuation in `forbidden` mod n."""
 
     __slots__ = ()
@@ -43,7 +44,7 @@ class ValuationGap(namedtuple("ValuationGap", "p n forbidden")):
         return tuple.__new__(cls, (p, n, classes))
 
 
-class ResidueGap(namedtuple("ResidueGap", "p n unit_class modulus_exponent")):
+class ResidueGap(record("ResidueGap", "p n unit_class modulus_exponent")):
     """No valuation-zero quotient is congruent to `unit_class` mod p^modulus_exponent."""
 
     __slots__ = ()

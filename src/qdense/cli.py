@@ -27,7 +27,7 @@ from .denseness import (
     decide,
     verdict_to_dict,
 )
-from .errors import DEFAULT_BUDGET, BudgetExceeded, NoRoot, charge
+from .errors import DEFAULT_BUDGET, BudgetExceeded, NoRoot, charge, check_budget
 from .forms import DiagonalForm, is_anisotropic_mod_p
 from .oracle import check_certificate, quotient_coverage
 from .padic import as_prime, valuation
@@ -75,9 +75,12 @@ def _budget(args) -> int:
         budget = args.budget if args.budget is not None else int(env or DEFAULT_BUDGET)
     except ValueError:
         raise ValueError(f"QDENSE_BUDGET must be an integer, got {env!r}") from None
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
-    return budget
+    return check_budget(budget)
+
+
+def _emit(args, data: dict, text: str):
+    """Print `data` as one line of JSON under --json, else the text line."""
+    print(json.dumps(data) if args.json else text)
 
 
 def _print_verdict(verdict, as_json: bool):
@@ -241,51 +244,35 @@ def cmd_lift(args) -> int:
     except NoRoot as exc:
         print(f"NoRoot: {exc}", file=sys.stderr)
         return 1
-    modulus = p**args.prec
-    if args.json:
-        print(
-            json.dumps(
-                {"root": root, "modulus": modulus, "p": p, "prec": args.prec}
-            )
-        )
-    else:
-        print(f"x = {root}  (x^{args.n} = {c} mod {p}^{args.prec})")
+    _emit(
+        args,
+        {"root": root, "modulus": p**args.prec, "p": p, "prec": args.prec},
+        f"x = {root}  (x^{args.n} = {c} mod {p}^{args.prec})",
+    )
     return 0
 
 
 def cmd_residues(args) -> int:
     members = sorted(nth_power_residues(args.n, args.p, args.M, budget=_budget(args)))
-    if args.json:
-        print(
-            json.dumps(
-                {"n": args.n, "p": args.p, "M": args.M, "members": members}
-            )
-        )
-    else:
-        print(
-            f"{args.n}th-power residues mod {args.p}^{args.M}: "
-            f"{members} ({len(members)} classes)"
-        )
+    _emit(
+        args,
+        {"n": args.n, "p": args.p, "M": args.M, "members": members},
+        f"{args.n}th-power residues mod {args.p}^{args.M}: "
+        f"{members} ({len(members)} classes)",
+    )
     return 0
 
 
 def cmd_aniso(args) -> int:
     form = DiagonalForm(args.n, args.coeffs)
     aniso, witness = is_anisotropic_mod_p(form, args.p, budget=_budget(args))
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "anisotropic": aniso,
-                    "witness": list(witness) if witness else None,
-                }
-            )
-        )
-    else:
-        if aniso:
-            print(f"{form} is anisotropic mod {args.p}")
-        else:
-            print(f"{form} is isotropic mod {args.p}: witness {witness}")
+    _emit(
+        args,
+        {"anisotropic": aniso, "witness": list(witness) if witness else None},
+        f"{form} is anisotropic mod {args.p}"
+        if aniso
+        else f"{form} is isotropic mod {args.p}: witness {witness}",
+    )
     return 0
 
 

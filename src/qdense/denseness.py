@@ -37,14 +37,13 @@ NotDense certificates and their JSON form live in `certificates`.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from itertools import combinations
 from math import gcd
 
 from .certificates import ResidueGap, ValuationGap
 from .certificates import from_dict as certificate_from_dict
 from .certificates import to_dict as certificate_to_dict
-from .errors import DEFAULT_BUDGET, BudgetExceeded, charge
+from .errors import DEFAULT_BUDGET, BudgetExceeded, charge, check_budget, record
 from .forms import (
     DiagonalForm,
     find_nonsingular_zero_mod_p,
@@ -75,7 +74,7 @@ NOT_DENSE = "NotDense"
 INCONCLUSIVE = "Inconclusive"
 
 
-class RuleApplication(namedtuple("RuleApplication", "rule statement params")):
+class RuleApplication(record("RuleApplication", "rule statement params")):
     """One trace entry: a string rule id and citation, and its own params
     dict; anything else raises ValueError."""
 
@@ -92,7 +91,7 @@ class RuleApplication(namedtuple("RuleApplication", "rule statement params")):
         return tuple.__new__(cls, (rule, statement, params))
 
 
-class Verdict(namedtuple("Verdict", "status trace certificate")):
+class Verdict(record("Verdict", "status trace certificate")):
     __slots__ = ()
 
     def __new__(cls, status, trace, certificate=None):
@@ -154,12 +153,14 @@ def decide_binary(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdic
     """Complete decision for binary forms a*x^n + b*y^n, n >= 3.
 
     Never returns Inconclusive.  The verdict is invariant under scaling
-    (a, b) -> (c*a, c*b) and under swapping a and b.
+    (a, b) -> (c*a, c*b) and under swapping a and b.  A negative budget
+    raises ValueError, as in `decide`.
     """
     if form.r != 2:
         raise ValueError("decide_binary needs exactly two coefficients")
     if form.n < 3:
         raise ValueError("binary decision rules require degree n >= 3")
+    check_budget(budget)
     p = as_prime(p)
     n, M = form.n, stabilization_exponent(form.n, p)
     delta, la, lb = normalize_binary(form, p)
@@ -277,8 +278,7 @@ def _smallest_non_residue(n: int, p: int):
 
 def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Apply rules R1-R6 in order; see the module docstring for the table."""
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
+    check_budget(budget)
     p = as_prime(p)
     n = form.n
     trace = []
@@ -291,47 +291,39 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
         gate = gcd(n, p * (p - 1)) == 1
         if gate and not prof.pairwise_distinct:
             pair = _first_in_one_class(prof.residues, 2)
-            trace.append(
-                RuleApplication(
-                    "R2",
-                    "gcd(n, p(p-1)) = 1, so every p-adic unit is an nth "
-                    "power; two coefficients share a valuation class mod n "
-                    "and the binary subform they span is dense, hence so is "
-                    "the full quotient set",
-                    {"indices": pair, "residues": list(prof.residues)},
-                )
+            return _verdict(
+                trace, DENSE, "R2",
+                "gcd(n, p(p-1)) = 1, so every p-adic unit is an nth "
+                "power; two coefficients share a valuation class mod n "
+                "and the binary subform they span is dense, hence so is "
+                "the full quotient set",
+                {"indices": pair, "residues": list(prof.residues)},
             )
-            return Verdict(DENSE, tuple(trace))
         if prof.pairwise_distinct:
             covers, missing = difference_cover_check(set(prof.residues), n)
             if not covers:
-                trace.append(
-                    RuleApplication(
-                        "R2",
-                        "coefficient valuations are pairwise distinct mod n, "
-                        "so the ultrametric minimum is attained exactly and "
-                        "value valuations stay in the coefficient classes; "
-                        "quotient valuations are confined to the difference "
-                        "set, which misses the listed classes",
-                        {"residues": list(prof.residues), "forbidden": missing},
-                    )
+                return _verdict(
+                    trace, NOT_DENSE, "R2",
+                    "coefficient valuations are pairwise distinct mod n, "
+                    "so the ultrametric minimum is attained exactly and "
+                    "value valuations stay in the coefficient classes; "
+                    "quotient valuations are confined to the difference "
+                    "set, which misses the listed classes",
+                    {"residues": list(prof.residues), "forbidden": missing},
+                    ValuationGap(p, n, missing),
                 )
-                return Verdict(NOT_DENSE, tuple(trace), ValuationGap(p, n, missing))
             if gate:
-                trace.append(
-                    RuleApplication(
-                        "R2",
-                        "gcd(n, p(p-1)) = 1 and the coefficient valuation "
-                        "differences cover Z/nZ (automatic when r > n/2), so "
-                        "every target valuation is matched by some pair "
-                        "(i, j) and every unit is an nth power: dense",
-                        {
-                            "residues": list(prof.residues),
-                            "cover_automatic": form.r * 2 > n,
-                        },
-                    )
+                return _verdict(
+                    trace, DENSE, "R2",
+                    "gcd(n, p(p-1)) = 1 and the coefficient valuation "
+                    "differences cover Z/nZ (automatic when r > n/2), so "
+                    "every target valuation is matched by some pair "
+                    "(i, j) and every unit is an nth power: dense",
+                    {
+                        "residues": list(prof.residues),
+                        "cover_automatic": form.r * 2 > n,
+                    },
                 )
-                return Verdict(DENSE, tuple(trace))
 
         if n == 3 and p != 3:
             triple = _first_in_one_class(prof.residues, 3)
@@ -348,23 +340,20 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
                         )
                     )
                 else:
-                    trace.append(
-                        RuleApplication(
-                            "R3",
-                            "three coefficients share a valuation class mod 3; "
-                            "stripping p-powers leaves a unit ternary cubic, "
-                            "which has a non-singular zero over F_p (p != 3), "
-                            "hence a simple p-adic root whose nearby values "
-                            "fill every ball: dense (r >= 7 always contains "
-                            "such a triple by pigeonhole)",
-                            {
-                                "indices": triple,
-                                "stripped_coeffs": list(stripped.coeffs),
-                                "nonsingular_zero": list(witness),
-                            },
-                        )
+                    return _verdict(
+                        trace, DENSE, "R3",
+                        "three coefficients share a valuation class mod 3; "
+                        "stripping p-powers leaves a unit ternary cubic, "
+                        "which has a non-singular zero over F_p (p != 3), "
+                        "hence a simple p-adic root whose nearby values "
+                        "fill every ball: dense (r >= 7 always contains "
+                        "such a triple by pigeonhole)",
+                        {
+                            "indices": triple,
+                            "stripped_coeffs": list(stripped.coeffs),
+                            "nonsingular_zero": list(witness),
+                        },
                     )
-                    return Verdict(DENSE, tuple(trace))
 
     if len(set(prof.residues)) == 1:
         unit_form = DiagonalForm(n, prof.unit_parts)
@@ -381,22 +370,20 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
                 )
             )
         if aniso:
-            trace.append(
-                RuleApplication(
-                    "R4",
-                    "all coefficient valuations agree mod n, so scaling "
-                    "and x_i -> p^t x_i reduce the form to its unit-part "
-                    "form, which has no nonzero root mod p; a zero mod p "
-                    "forces x = 0 mod p, so every value valuation lies in "
-                    "one class mod n and quotient valuations miss all "
-                    "other classes",
-                    {
-                        "unit_coeffs": list(unit_form.coeffs),
-                        "forbidden": list(range(1, n)),
-                    },
-                )
+            return _verdict(
+                trace, NOT_DENSE, "R4",
+                "all coefficient valuations agree mod n, so scaling "
+                "and x_i -> p^t x_i reduce the form to its unit-part "
+                "form, which has no nonzero root mod p; a zero mod p "
+                "forces x = 0 mod p, so every value valuation lies in "
+                "one class mod n and quotient valuations miss all "
+                "other classes",
+                {
+                    "unit_coeffs": list(unit_form.coeffs),
+                    "forbidden": list(range(1, n)),
+                },
+                ValuationGap(p, n, range(1, n)),
             )
-            return Verdict(NOT_DENSE, tuple(trace), ValuationGap(p, n, range(1, n)))
 
     if n >= 3 and form.r >= 3:
         M = stabilization_exponent(n, p)
@@ -428,20 +415,17 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
                 )
                 continue
             if status == DENSE:
-                trace.append(
-                    RuleApplication(
-                        "R5",
-                        "the quotient set of a subform is contained in "
-                        "the full quotient set, and the binary subform "
-                        "on the listed coordinates is dense",
-                        {
-                            "indices": [i, j],
-                            "subform_coeffs": [form.coeffs[i], form.coeffs[j]],
-                        },
-                    )
+                return _verdict(
+                    trace, DENSE, "R5",
+                    "the quotient set of a subform is contained in "
+                    "the full quotient set, and the binary subform "
+                    "on the listed coordinates is dense",
+                    {
+                        "indices": [i, j],
+                        "subform_coeffs": [form.coeffs[i], form.coeffs[j]],
+                    },
+                    cited=_r1_trace(n, M, delta, units[i], units[j], closing),
                 )
-                trace += _r1_trace(n, M, delta, units[i], units[j], closing)
-                return Verdict(DENSE, tuple(trace))
 
     summary_note = (
         "no rule applies; the fragment of theory implemented here leaves "
@@ -450,8 +434,15 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
         else "degree-2 forms are only decided by the anisotropy rule here; "
         "the full quadratic classification is prior work"
     )
-    trace.append(RuleApplication("R6", summary_note))
-    return Verdict(INCONCLUSIVE, tuple(trace))
+    return _verdict(trace, INCONCLUSIVE, "R6", summary_note)
+
+
+def _verdict(trace, status, rule, statement, params=None, certificate=None, cited=()):
+    """The verdict `rule` reaches: its entry closes the trace of the rules
+    tried before it, followed by the entries it cites (R5's dense subform
+    cites its R1 trace)."""
+    entry = RuleApplication(rule, statement, params)
+    return Verdict(status, (*trace, entry, *cited), certificate)
 
 
 def _first_in_one_class(residues, k: int):

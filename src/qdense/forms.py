@@ -11,10 +11,8 @@ anisotropy check and the non-singular zero search for ternary cubics.
 from __future__ import annotations
 
 import itertools
-import operator
-from collections import namedtuple
 
-from .errors import DEFAULT_BUDGET, charge
+from .errors import DEFAULT_BUDGET, charge, record
 from .padic import as_prime, split_power
 
 __all__ = [
@@ -27,14 +25,20 @@ __all__ = [
 ]
 
 
-class DiagonalForm(namedtuple("DiagonalForm", "n coeffs")):
-    """Degree-n diagonal form with nonzero integer coefficients; a float or
-    string degree or coefficient raises TypeError, it is never truncated."""
+class DiagonalForm(record("DiagonalForm", "n coeffs")):
+    """Degree-n diagonal form with nonzero integer coefficients.  A degree,
+    coefficient or `evaluate` point coordinate that is not an int (a float,
+    a string or a bool) raises ValueError, also under `_make` and
+    `_replace`; it is never truncated."""
 
     __slots__ = ()
 
     def __new__(cls, n, coeffs):
-        n, coeffs = operator.index(n), tuple(map(operator.index, coeffs))
+        coeffs = tuple(coeffs)
+        if {type(n), *map(type, coeffs)} != {int}:
+            raise ValueError(
+                f"degree and coefficients must be ints, got {(n, coeffs)!r:.200}"
+            )
         if n < 2:
             raise ValueError("degree must be >= 2")
         if not coeffs:
@@ -50,9 +54,9 @@ class DiagonalForm(namedtuple("DiagonalForm", "n coeffs")):
     def evaluate(self, point) -> int:
         if len(point) != self.r:
             raise ValueError(f"form has {self.r} variables, point has {len(point)}")
-        return sum(
-            a * operator.index(x) ** self.n for a, x in zip(self.coeffs, point)
-        )
+        if set(map(type, point)) - {int}:
+            raise ValueError(f"point coordinates must be ints, got {point!r:.200}")
+        return sum(a * x**self.n for a, x in zip(self.coeffs, point))
 
     def __str__(self):
         names = (
@@ -133,7 +137,7 @@ def find_nonsingular_zero_mod_p(form: DiagonalForm, p, budget: int = DEFAULT_BUD
 
 
 class ValuationProfile(
-    namedtuple("ValuationProfile", "valuations residues pairwise_distinct unit_parts")
+    record("ValuationProfile", "valuations residues pairwise_distinct unit_parts")
 ):
     """Coefficient valuations, their classes mod n (`residues`, in
     coefficient order), whether those are pairwise distinct, and the unit

@@ -51,11 +51,11 @@ def _is_prime(n: int) -> bool:
 def as_prime(p) -> int:
     """p itself, once a deterministic primality test has certified it.
 
-    Raises TypeError for a non-int and ValueError for a non-prime or for
-    p >= 2^64.
+    Raises ValueError for anything but an int (a float, a string or a
+    bool), for a non-prime and for p >= 2^64.
     """
-    if not isinstance(p, int):
-        raise TypeError(f"prime must be an int, got {type(p).__name__}")
+    if type(p) is not int:
+        raise ValueError(f"prime must be an int, got {type(p).__name__}")
     if p >= _MAX_PRIME:
         raise ValueError("primes are restricted to machine-word size")
     if not _is_prime(p):

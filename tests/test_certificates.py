@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qdense.certificates import ResidueGap, ValuationGap, from_dict, to_dict
-from qdense.denseness import RuleApplication, decide, verdict_from_dict
+from qdense.denseness import RuleApplication, Verdict, decide, verdict_from_dict
 from qdense.forms import DiagonalForm, valuation_profile
 from qdense.oracle import CheckResult
 
@@ -161,6 +161,28 @@ CONSTRUCTOR_REJECTS = {
 def test_constructors_reject_wrong_field_types(build):
     with pytest.raises(ValueError):
         build()
+
+
+# `_replace` calls `_make`, and both go through the constructor.
+REBUILD_REJECTS = {
+    "replace-p-string": lambda: ValuationGap(7, 3, [1])._replace(p="7"),
+    "make-rule-ints": lambda: RuleApplication._make([1, 2, 3]),
+    "make-verdict-bogus-status": lambda: Verdict._make(["bogus", (), None]),
+    "replace-form-degree-1": lambda: DiagonalForm(3, (1, 2))._replace(n=1),
+}
+
+
+@pytest.mark.parametrize("build", REBUILD_REJECTS.values(), ids=REBUILD_REJECTS.keys())
+def test_make_and_replace_reject_what_the_constructor_rejects(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_valid_replace_keeps_the_record_type():
+    gap = ValuationGap(7, 3, [1])._replace(p=5)
+    assert type(gap) is ValuationGap and gap == (5, 3, frozenset({1}))
+    form = DiagonalForm(3, (1, 2))._replace(n=4)
+    assert type(form) is DiagonalForm and form == (4, (1, 2))
 
 
 def _complete_certificate_payloads():

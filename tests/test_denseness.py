@@ -251,6 +251,11 @@ def test_decide_rejects_negative_budget():
         decide(DiagonalForm(2, (1, -1)), 5, budget=-1)
 
 
+def test_decide_binary_rejects_negative_budget():
+    with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
+        decide_binary(DiagonalForm(3, (1, 2)), 7, budget=-1)
+
+
 def test_decide_single_variable_not_dense():
     v = decide(DiagonalForm(4, (3,)), 5)
     assert v.status == NOT_DENSE

@@ -39,9 +39,11 @@ def test_invalid_forms_rejected():
         DiagonalForm(1, (1, 2))
     with pytest.raises(ValueError):
         DiagonalForm(3, ())
-    # Non-integers are rejected, not truncated (1.5 used to become 1).
-    for n, coeffs in [(3, (1.5, 1)), (3, ("2", 1)), (3.0, (1, 1))]:
-        with pytest.raises(TypeError):
+    # Non-integers are rejected, not truncated (1.5 used to become 1), and
+    # so are bools (True used to become the coefficient 1).
+    for n, coeffs in [(3, (1.5, 1)), (3, ("2", 1)), (3.0, (1, 1)),
+                      (3, (True, 2)), (True, (1, 2))]:
+        with pytest.raises(ValueError):
             DiagonalForm(n, coeffs)
 
 
@@ -49,8 +51,8 @@ def test_evaluate_rejects_non_integer_points():
     form = DiagonalForm(3, (1, 1))
     assert form.evaluate((2, -1)) == 7
     # 1.5 used to become 1 and "2" used to become 2.
-    for point in [(1.5, 0), ("2", 0), (0, 2.0)]:
-        with pytest.raises(TypeError):
+    for point in [(1.5, 0), ("2", 0), (0, 2.0), (True, 0)]:
+        with pytest.raises(ValueError):
             form.evaluate(point)
 
 

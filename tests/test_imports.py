@@ -106,16 +106,26 @@ def test_all_names_are_bound(path):
 
 
 def test_package_reexports_match_all():
-    """qdense re-exports exactly the __all__ of each module that declares
-    one, so together with the test above no deleted name stays exported."""
+    """qdense's __all__ is the concatenation of the __all__ of each module it
+    star-imports, and `from qdense import *` binds each of those names to
+    its module's own object, so together with the test above no deleted
+    name stays exported."""
     tree = ast.parse((SRC / "__init__.py").read_text())
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert imports, "the walk found no imports at all"
-    for node in imports:
-        module = importlib.import_module(f"qdense.{node.module}")
-        if hasattr(module, "__all__"):
-            names = [alias.name for alias in node.names]
-            assert sorted(names) == sorted(module.__all__), node.module
+    starred = [
+        importlib.import_module(f"qdense.{node.module}")
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and [a.name for a in node.names] == ["*"]
+    ]
+    assert starred, "the walk found no star imports at all"
+    package = importlib.import_module("qdense")
+    assert list(package.__all__) == [n for m in starred for n in m.__all__]
+    namespace = {}
+    exec("from qdense import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(package.__all__)
+    for module in starred:
+        for name in module.__all__:
+            assert namespace[name] is getattr(module, name), name
 
 
 def _load_tracer():

@@ -22,8 +22,9 @@ def test_prime_modulus_certifies():
     for bad in (0, 1, 4, 9, 561, 2**61):  # 561 is a Carmichael number
         with pytest.raises(ValueError):
             as_prime(bad)
-    with pytest.raises(TypeError):
-        as_prime(7.0)
+    for bad in (7.0, "7", True):
+        with pytest.raises(ValueError):
+            as_prime(bad)
 
 
 # ---------------------------------------------------------------------------
