@@ -104,10 +104,6 @@ class Verdict(record("Verdict", "status trace certificate")):
         return tuple.__new__(cls, (status, trace, certificate))
 
     @property
-    def rules_fired(self) -> tuple:
-        return tuple([entry.rule for entry in self.trace])
-
-    @property
     def deciding_rule(self) -> str:
         """The highest-numbered rule in the trace ("" if it is empty).  An R5
         trace ends with the R1 entries of its dense subform, so the last

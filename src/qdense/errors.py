@@ -4,8 +4,8 @@ callers catch, and the named-tuple base of the validating records.
 Bad input raises ValueError, and a broken invariant raises AssertionError.
 DEFAULT_BUDGET caps every exhaustive enumeration unless a caller passes its
 own budget, which `check_budget` rejects below 0; each enumeration states
-its size to `charge`, which raises BudgetExceeded past the budget.  A
-missing p-adic root raises NoRoot.
+its size to `charge`, which raises BudgetExceeded past the budget and
+ValueError for a negative one.  A missing p-adic root raises NoRoot.
 """
 
 from collections import namedtuple
@@ -31,11 +31,14 @@ def check_budget(budget: int) -> int:
 
 
 def charge(budget: int, what: str, base: int, exp: int = 1) -> int:
-    """base**exp if it is at most the budget, else BudgetExceeded.  For base
-    >= 2 the power is at least 2^exp, so once exp > budget.bit_length() it
-    exceeds the budget and is never built."""
+    """base**exp if it is at most the budget, else BudgetExceeded; a negative
+    budget raises ValueError (`check_budget`).  For base >= 2 the power is
+    at least 2^exp, so once exp > budget.bit_length() it exceeds the budget
+    and is never built."""
     if (base < 2 or exp <= budget.bit_length()) and (count := base**exp) <= budget:
         return count
+    # No count is negative, so a negative budget always ends up here.
+    check_budget(budget)
     raise BudgetExceeded(f"{what} exceeds budget {budget}")
 
 

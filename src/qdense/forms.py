@@ -29,13 +29,15 @@ class DiagonalForm(record("DiagonalForm", "n coeffs")):
     """Degree-n diagonal form with nonzero integer coefficients.  A degree,
     coefficient or `evaluate` point coordinate that is not an int (a float,
     a string or a bool) raises ValueError, also under `_make` and
-    `_replace`; it is never truncated."""
+    `_replace`; it is never truncated.  So do coefficients or a point that
+    are not a sequence."""
 
     __slots__ = ()
 
     def __new__(cls, n, coeffs):
-        coeffs = tuple(coeffs)
-        if {type(n), *map(type, coeffs)} != {int}:
+        if hasattr(coeffs, "__iter__"):
+            coeffs = tuple(coeffs)
+        if type(coeffs) is not tuple or {type(n), *map(type, coeffs)} != {int}:
             raise ValueError(
                 f"degree and coefficients must be ints, got {(n, coeffs)!r:.200}"
             )
@@ -52,9 +54,10 @@ class DiagonalForm(record("DiagonalForm", "n coeffs")):
         return len(self.coeffs)
 
     def evaluate(self, point) -> int:
-        if len(point) != self.r:
+        sized = hasattr(point, "__len__")
+        if sized and len(point) != self.r:
             raise ValueError(f"form has {self.r} variables, point has {len(point)}")
-        if set(map(type, point)) - {int}:
+        if not sized or set(map(type, point)) - {int}:
             raise ValueError(f"point coordinates must be ints, got {point!r:.200}")
         return sum(a * x**self.n for a, x in zip(self.coeffs, point))
 

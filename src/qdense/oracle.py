@@ -6,7 +6,10 @@ quotient classes, measures how much of each valuation level is covered,
 and checks NotDense certificates against the observed data.
 
 Each valuation level's classes stay one bitmask from the enumeration to
-the report; the sets of (v, u) keys are built only when read.
+the report.  The reports are named tuples (`errors.record`): their fields
+are immutable and they compare equal to the tuple of their fields, while
+their views (the sets of (v, u) keys, witness points, missed classes) are
+cached properties built only when read, so they declare no `__slots__`.
 
 The oracle is one-sided on purpose: it can refute a certificate exactly
 (any observed quotient inside a forbidden region is a disproof) but can
@@ -21,11 +24,10 @@ import io
 import itertools
 import json
 from collections import defaultdict, namedtuple
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .certificates import ResidueGap, ValuationGap
-from .errors import DEFAULT_BUDGET, charge
+from .errors import DEFAULT_BUDGET, charge, record
 from .forms import DiagonalForm
 from .padic import as_prime, inverse_mod, split_power
 from .residues import _generator, _unit_group
@@ -69,9 +71,8 @@ def _mask(positions, size: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-@dataclass(frozen=True)
-class ValueClasses:
-    """Observed (valuation, unit mod p^K) classes of F over a box.
+class ValueClasses(record("ValueClasses", "form p K B levels")):
+    """Observed (valuation, unit mod p^K) classes of F over [-B, B]^r.
 
     `levels` maps each observed valuation v, in increasing order, to a
     bitmask over the residues mod p^K with bit u set when (v, u) is
@@ -80,12 +81,6 @@ class ValueClasses:
     key, from one scan of the whole box in lexicographic order that keeps
     the least point of every class.
     """
-
-    form: DiagonalForm
-    p: int
-    K: int
-    B: int
-    levels: dict  # valuation -> bitmask of the units mod p^K observed there
 
     @property
     def valuations(self) -> set:
@@ -119,20 +114,15 @@ class ValueClasses:
         return self._least_points[key]
 
 
-@dataclass(frozen=True)
-class QuotientClassMap:
+class QuotientClassMap(record("QuotientClassMap", "values levels units")):
     """Quotient classes (v1 - v2 in [-V, V], u1/u2 mod p^K) hit by the
-    observed values.
+    `values` observed.
 
     `levels` maps each quotient valuation hit to a bitmask over unit
     indices (`_unit_coordinates`), and `units[i]` is the unit of index i.
     `hits` is the set of (v, u) keys, built when first read;
     `witness(key)` finds the pair of points realizing a key on demand.
     """
-
-    values: ValueClasses = field(repr=False)
-    levels: dict  # quotient valuation -> bitmask of the unit indices hit
-    units: list = field(repr=False)
 
     @cached_property
     def hits(self) -> frozenset:
@@ -166,17 +156,21 @@ class QuotientClassMap:
         raise AssertionError(f"hit {key} has no witness pair")
 
 
-@dataclass(frozen=True)
-class CoverageReport:
-    form: DiagonalForm
-    p: int
-    K: int
-    V: int
-    B: int
-    coverage: dict  # valuation level -> fraction of unit classes hit
-    quotient_valuation_residues: frozenset  # all v1 - v2 mod n, unwindowed
-    value_valuation_residues: frozenset  # all v_p(F(x)) mod n observed
-    quotients: QuotientClassMap = field(repr=False)
+class CoverageReport(
+    record(
+        "CoverageReport",
+        "form p K V B coverage quotient_valuation_residues "
+        "value_valuation_residues quotients",
+    )
+):
+    """Quotient coverage over [-B, B]^r: the fraction of the units mod p^K
+    hit at each level in [-V, V], and every quotient and value valuation
+    mod n, unwindowed.  `missed` is built when first read.  The repr
+    leaves out `quotients`, whose bitmasks have p^K bits."""
+
+    def __repr__(self):
+        shown = zip(self._fields[:-1], self)
+        return f"CoverageReport({', '.join(f'{k}={v!r}' for k, v in shown)})"
 
     @cached_property
     def missed(self) -> dict:
@@ -442,20 +436,10 @@ def quotient_coverage(
     quotients = _quotient_map(values, V)
     levels = quotients.levels
     coverage = {v: levels.get(v, 0).bit_count() / phi for v in range(-V, V + 1)}
-    vals = values.valuations
-    return CoverageReport(
-        form=form,
-        p=p,
-        K=K,
-        V=V,
-        B=B,
-        coverage=coverage,
-        quotient_valuation_residues=frozenset(
-            (v1 - v2) % form.n for v1 in vals for v2 in vals
-        ),
-        value_valuation_residues=frozenset(v % form.n for v in vals),
-        quotients=quotients,
-    )
+    vals, n = values.valuations, form.n
+    differences = frozenset((v1 - v2) % n for v1 in vals for v2 in vals)
+    residues = frozenset(v % n for v in vals)
+    return CoverageReport(form, p, K, V, B, coverage, differences, residues, quotients)
 
 
 def check_certificate(certificate, report: CoverageReport) -> CheckResult:
@@ -465,8 +449,11 @@ def check_certificate(certificate, report: CoverageReport) -> CheckResult:
     residue set mod n.  ResidueGap at exponent e: no observed valuation-0
     quotient class may be congruent to the named unit mod p^e; only the
     level-0 mask is read.  Any violation is returned with its witness
-    pair: a concrete disproof of the engine verdict.
+    pair: a concrete disproof of the engine verdict.  Anything that is not
+    a certificate raises ValueError.
     """
+    if not isinstance(certificate, (ValuationGap, ResidueGap)):
+        raise ValueError(f"unknown certificate type {type(certificate).__name__}")
     if certificate.p != report.p or certificate.n != report.form.n:
         raise ValueError(
             "certificate and report disagree on (p, n): "
@@ -491,29 +478,27 @@ def check_certificate(certificate, report: CoverageReport) -> CheckResult:
             False,
             detail=f"forbidden valuation residue {residue} observed outside window",
         )
-    if isinstance(certificate, ResidueGap):
-        e = certificate.modulus_exponent
-        if e > report.K:
-            raise ValueError(
-                f"certificate needs unit precision {e}, report has K={report.K}"
-            )
-        pe = report.p**e
-        target = certificate.unit_class % pe
-        units = report.quotients.units
-        level0 = report.quotients.levels.get(0, 0)
-        matching = [units[i] for i in _bits(level0) if units[i] % pe == target]
-        if matching:
-            key = (0, min(matching))
-            return CheckResult(
-                False,
-                witness=report.quotients.witness(key),
-                detail=f"valuation-0 quotient with unit {key[1]} = "
-                f"{target} mod {report.p}^{e} observed",
-            )
-        return CheckResult(
-            True, detail=f"no valuation-0 quotient hits {target} mod {report.p}^{e}"
+    e = certificate.modulus_exponent
+    if e > report.K:
+        raise ValueError(
+            f"certificate needs unit precision {e}, report has K={report.K}"
         )
-    raise TypeError(f"unknown certificate type {type(certificate).__name__}")
+    pe = report.p**e
+    target = certificate.unit_class % pe
+    units = report.quotients.units
+    level0 = report.quotients.levels.get(0, 0)
+    matching = [units[i] for i in _bits(level0) if units[i] % pe == target]
+    if matching:
+        key = (0, min(matching))
+        return CheckResult(
+            False,
+            witness=report.quotients.witness(key),
+            detail=f"valuation-0 quotient with unit {key[1]} = "
+            f"{target} mod {report.p}^{e} observed",
+        )
+    return CheckResult(
+        True, detail=f"no valuation-0 quotient hits {target} mod {report.p}^{e}"
+    )
 
 
 def coverage_trend(

@@ -308,7 +308,8 @@ def test_criterion_8_anisotropy_obstruction():
     for form, p in cases:
         verdict = decide(form, p)
         assert verdict.status == NOT_DENSE, (form.coeffs, p)
-        assert verdict.rules_fired == ("R4",), (form.coeffs, p, verdict.rules_fired)
+        rules = tuple(e.rule for e in verdict.trace)
+        assert rules == ("R4",), (form.coeffs, p, rules)
         assert verdict.certificate == ValuationGap(
             p=p, n=form.n, forbidden=frozenset(range(1, form.n))
         )

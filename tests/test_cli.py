@@ -240,7 +240,8 @@ def test_survey_rule_is_the_deciding_rule(tmp_path, capsys):
     # whose R1 entries end the trace.
     path = tmp_path / "queries.jsonl"
     path.write_text('{"n": 4, "coeffs": [1, -1, 3], "p": 5}\n')
-    assert decide(DiagonalForm(4, (1, -1, 3)), 5).rules_fired == ("R5", "R1", "R1")
+    trace = decide(DiagonalForm(4, (1, -1, 3)), 5).trace
+    assert tuple(e.rule for e in trace) == ("R5", "R1", "R1")
     code = main(["survey", "--input", str(path)])
     out = capsys.readouterr().out
     assert code == 0

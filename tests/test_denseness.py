@@ -170,7 +170,7 @@ def test_decide_at_a_61_bit_prime_builds_no_table(coeffs, status, rule):
 def test_decide_r2_distinct_cover():
     v = decide(DiagonalForm(5, (1, 7, 49)), 7)
     assert v.status == DENSE
-    assert v.rules_fired == ("R2",)
+    assert tuple(e.rule for e in v.trace) == ("R2",)
 
 
 def test_decide_r2_distinct_gap():
@@ -184,7 +184,7 @@ def test_decide_sum_of_three_cubes_mod5():
     # rule fires before the ternary-cubic rule.
     v = decide(DiagonalForm(3, (1, 1, 1)), 5)
     assert v.status == DENSE
-    assert v.rules_fired[0] == "R2"
+    assert v.trace[0].rule == "R2"
 
 
 def test_decide_ternary_cubic_rule_fires_mod7():
@@ -192,7 +192,7 @@ def test_decide_ternary_cubic_rule_fires_mod7():
     # non-singular-zero route.
     v = decide(DiagonalForm(3, (1, 1, 1)), 7)
     assert v.status == DENSE
-    assert "R3" in v.rules_fired
+    assert "R3" in tuple(e.rule for e in v.trace)
     zero = v.trace[-1].params["nonsingular_zero"]
     assert sum(a * x**3 for a, x in zip((1, 1, 1), zero)) % 7 == 0
 
@@ -200,7 +200,7 @@ def test_decide_ternary_cubic_rule_fires_mod7():
 def test_decide_anisotropic_quadratic():
     v = decide(DiagonalForm(2, (1, 1)), 3)
     assert v.status == NOT_DENSE
-    assert v.rules_fired == ("R4",)
+    assert tuple(e.rule for e in v.trace) == ("R4",)
     assert v.certificate == ValuationGap(p=3, n=2, forbidden=frozenset({1}))
 
 
@@ -210,7 +210,7 @@ def test_decide_threshold_form_n6():
     # not need gcd(6, p(p-1)) = 1 (which no prime satisfies for even n).
     v = decide(DiagonalForm(6, (1, 5, 25)), 5)
     assert v.status == NOT_DENSE
-    assert v.rules_fired == ("R2",)
+    assert tuple(e.rule for e in v.trace) == ("R2",)
     assert v.certificate == ValuationGap(p=5, n=6, forbidden=frozenset({3}))
 
 
@@ -219,13 +219,13 @@ def test_decide_subform_closure_mod3():
     # binary subform, so R5 concludes.
     v = decide(DiagonalForm(3, (1, 1, 1)), 3)
     assert v.status == DENSE
-    assert v.rules_fired[0] == "R5"
+    assert v.trace[0].rule == "R5"
 
 
 def test_decide_isotropic_quadratic_inconclusive():
     v = decide(DiagonalForm(2, (1, -1)), 5)
     assert v.status == INCONCLUSIVE
-    assert v.rules_fired == ("R6",)
+    assert tuple(e.rule for e in v.trace) == ("R6",)
     assert v.trace[-1].params == {}
 
 
@@ -239,7 +239,7 @@ def test_decide_anisotropy_on_the_unit_part_form():
     ]:
         v = decide(DiagonalForm(n, coeffs), p)
         assert v.status == NOT_DENSE, coeffs
-        assert v.rules_fired == ("R4",)
+        assert tuple(e.rule for e in v.trace) == ("R4",)
         assert v.trace[0].params["unit_coeffs"] == units
         assert v.certificate == ValuationGap(
             p=p, n=n, forbidden=frozenset(range(1, n))

@@ -3,6 +3,11 @@ import time
 import pytest
 
 from qdense.errors import BudgetExceeded, charge
+from qdense.forms import DiagonalForm, find_nonsingular_zero_mod_p, is_anisotropic_mod_p
+from qdense.oracle import coverage_trend, enumerate_values, quotient_coverage
+from qdense.residues import nth_power_residues, nth_root_in_Zp
+
+NEGATIVE_BUDGET = "^budget must be >= 0, got -1$"
 
 
 @pytest.mark.parametrize("base, exp", [(7, 2), (10, 1), (2, 0), (0, 3), (1, 5)])
@@ -27,5 +32,28 @@ def test_charge_never_builds_a_power_it_cannot_afford():
 
 @pytest.mark.parametrize("base, exp", [(0, 1), (1, 10**12), (2, 3), (7, 1)])
 def test_charge_refuses_everything_under_a_negative_budget(base, exp):
-    with pytest.raises(BudgetExceeded):
+    # A negative budget is bad input, not a spent one.
+    with pytest.raises(ValueError, match=NEGATIVE_BUDGET):
         charge(-1, "anything", base, exp)
+
+
+CUBIC = DiagonalForm(3, (1, 2))
+ENUMERATIONS = {
+    "is_anisotropic_mod_p": lambda b: is_anisotropic_mod_p(CUBIC, 7, budget=b),
+    "find_nonsingular_zero_mod_p": lambda b: find_nonsingular_zero_mod_p(
+        DiagonalForm(3, (1, 1, 1)), 7, budget=b
+    ),
+    "nth_power_residues": lambda b: nth_power_residues(3, 7, 1, budget=b),
+    "nth_root_in_Zp": lambda b: nth_root_in_Zp(8, 3, 7, 3, budget=b),
+    "enumerate_values": lambda b: enumerate_values(CUBIC, 7, B=2, K=1, budget=b),
+    "quotient_coverage": lambda b: quotient_coverage(CUBIC, 7, 2, 1, 1, budget=b),
+    "coverage_trend": lambda b: coverage_trend(CUBIC, 7, 1, 1, [1, 2], budget=b),
+}
+
+
+@pytest.mark.parametrize("run", ENUMERATIONS.values(), ids=ENUMERATIONS.keys())
+def test_every_enumeration_rejects_a_negative_budget(run):
+    # A negative budget is bad input, as it is to decide, not a spent one.
+    run(10**7)
+    with pytest.raises(ValueError, match=NEGATIVE_BUDGET):
+        run(-1)

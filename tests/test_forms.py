@@ -41,8 +41,9 @@ def test_invalid_forms_rejected():
         DiagonalForm(3, ())
     # Non-integers are rejected, not truncated (1.5 used to become 1), and
     # so are bools (True used to become the coefficient 1).
+    # So are coefficients that are not a sequence.
     for n, coeffs in [(3, (1.5, 1)), (3, ("2", 1)), (3.0, (1, 1)),
-                      (3, (True, 2)), (True, (1, 2))]:
+                      (3, (True, 2)), (True, (1, 2)), (3, 5)]:
         with pytest.raises(ValueError):
             DiagonalForm(n, coeffs)
 
@@ -50,8 +51,8 @@ def test_invalid_forms_rejected():
 def test_evaluate_rejects_non_integer_points():
     form = DiagonalForm(3, (1, 1))
     assert form.evaluate((2, -1)) == 7
-    # 1.5 used to become 1 and "2" used to become 2.
-    for point in [(1.5, 0), ("2", 0), (0, 2.0), (True, 0)]:
+    # 1.5 used to become 1 and "2" used to become 2; 5 is not a sequence.
+    for point in [(1.5, 0), ("2", 0), (0, 2.0), (True, 0), 5]:
         with pytest.raises(ValueError):
             form.evaluate(point)
 

@@ -1,16 +1,19 @@
 """Import hygiene of the package: every import sits at module level,
 neither the oracle nor the certificate module imports the rule engine, and
 the rule engine imports nothing from the oracle, so the oracle is evidence
-independent of the engine whose certificates it checks.  Only the oracle
-imports `dataclasses`, and no module imports `typing`.  Every exported
-name is bound, every docstring example runs, and every function the
-benchmark tracer wraps exists and is labelled with the verdict's own
-deciding rule."""
+independent of the engine whose certificates it checks.  No module
+imports `dataclasses` or `typing`, and importing the CLI loads neither
+`dataclasses` nor `inspect`.  Every exported name is bound, every
+docstring example runs, and every function the benchmark tracer wraps
+exists and is labelled with the verdict's own deciding rule."""
 
 import ast
 import doctest
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -74,8 +77,8 @@ def test_no_engine_import_from(name):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_records_are_named_tuples(path):
-    """Records are validating named tuples; only the oracle keeps dataclasses,
-    for the reports whose members fill lazily, and nothing imports typing."""
+    """Records, the oracle's lazily filled reports included, are named
+    tuples: nothing imports dataclasses or typing."""
     tree = ast.parse(path.read_text())
     imported = {
         target.lstrip(".").split(".")[0]
@@ -83,8 +86,24 @@ def test_records_are_named_tuples(path):
         if isinstance(node, (ast.Import, ast.ImportFrom))
         for target in _imported_modules(node)
     }
-    banned = {"typing"} | ({"dataclasses"} if path.name != "oracle.py" else set())
+    banned = {"dataclasses", "typing"}
     assert not imported & banned, f"{path.name} imports {sorted(imported & banned)}"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """A fresh interpreter's `import qdense.cli` stays off the dataclasses
+    import chain (inspect, ast, dis, tokenize), which every CLI process
+    would pay for in start-up time and memory."""
+    code = (
+        "import sys, qdense.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+    assert out == "[]\n"
 
 
 def test_no_oracle_import_from_engine():

@@ -1,6 +1,7 @@
 import csv
 import io
 import itertools
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -487,6 +488,14 @@ def test_check_parameter_mismatch():
         )  # needs unit precision 2, report has K=1
 
 
+@pytest.mark.parametrize("thing", ["x", None, (5, 3, frozenset({1}))])
+def test_check_certificate_rejects_a_non_certificate(thing):
+    # The type is checked before any certificate field is read.
+    report = quotient_coverage(DiagonalForm(3, (1, 1)), 5, B=2, K=1, V=1)
+    with pytest.raises(ValueError, match="unknown certificate type"):
+        check_certificate(thing, report)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -505,3 +514,41 @@ def test_report_json_and_csv():
     for line in lines[1:]:
         cells = line.split(",")
         assert all(c in ("0", "1") for c in cells[1:])
+
+
+# ---------------------------------------------------------------------------
+# the reports as records
+# ---------------------------------------------------------------------------
+
+
+def test_reports_are_immutable_records_that_pickle():
+    report = quotient_coverage(DiagonalForm(3, (1, 2)), 7, B=3, K=2, V=1)
+    for record, view in [(report, "missed"), (report.quotients, "hits"),
+                         (report.quotients.values, "classes")]:
+        assert record == tuple(record)
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+        # A cached view, once read, travels with the pickle.
+        getattr(record, view)
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is type(record) and copy == record
+        assert getattr(copy, view) == getattr(record, view)
+        replaced = record._replace()
+        assert type(replaced) is type(record) and replaced == record
+
+
+def test_report_repr_leaves_out_the_quotient_map():
+    # With every field shown, the 3^10-bit masks exceed Python's int-to-str
+    # limit and repr raises.
+    report = quotient_coverage(DiagonalForm(3, (1, 2)), 3, B=3, K=10, V=1)
+    text = repr(report)
+    assert "quotients" not in text and len(text) == 255
+    assert text.startswith(
+        "CoverageReport(form=DiagonalForm(n=3, coeffs=(1, 2)), p=3, K=10, V=1, B=3, "
+        "coverage={-1: 0.002489457907839252, "
+    )
+    assert text.endswith(
+        "quotient_valuation_residues=frozenset({0, 1, 2}), "
+        "value_valuation_residues=frozenset({0, 1}))"
+    )
