@@ -20,13 +20,7 @@ from fractions import Fraction
 
 from . import __version__
 from .certificates import to_dict as certificate_to_dict
-from .denseness import (
-    DENSE,
-    INCONCLUSIVE,
-    NOT_DENSE,
-    decide,
-    verdict_to_dict,
-)
+from .denseness import DENSE, INCONCLUSIVE, NOT_DENSE, decide, verdict_to_dict
 from .errors import DEFAULT_BUDGET, BudgetExceeded, NoRoot, charge, check_budget
 from .forms import DiagonalForm, is_anisotropic_mod_p
 from .oracle import check_certificate, quotient_coverage
@@ -298,7 +292,6 @@ def build_parser() -> _Parser:
 
     p_decide = subs.add_parser("decide", help="decide denseness of R(F) in Q_p")
     _add_form_args(p_decide)
-    p_decide.add_argument("--json", action="store_true")
     p_decide.set_defaults(func=cmd_decide)
 
     p_oracle = subs.add_parser("oracle", help="brute-force coverage report")
@@ -330,7 +323,6 @@ def build_parser() -> _Parser:
         default=None,
     )
     p_survey.add_argument("--vars", type=_int_at_least(1), default=2)
-    p_survey.add_argument("--json", action="store_true")
     p_survey.set_defaults(func=cmd_survey)
 
     p_lift = subs.add_parser(
@@ -340,22 +332,21 @@ def build_parser() -> _Parser:
     p_lift.add_argument("--n", type=_int_at_least(1), required=True)
     p_lift.add_argument("--p", type=int, required=True)
     p_lift.add_argument("--prec", type=_int_at_least(1), required=True)
-    p_lift.add_argument("--json", action="store_true")
     p_lift.set_defaults(func=cmd_lift)
 
     p_res = subs.add_parser("residues", help="dump nth-power residues mod p^M")
     p_res.add_argument("--n", type=_int_at_least(1), required=True)
     p_res.add_argument("--p", type=int, required=True)
     p_res.add_argument("--M", type=int, required=True)
-    p_res.add_argument("--json", action="store_true")
     p_res.set_defaults(func=cmd_residues)
 
     p_aniso = subs.add_parser("aniso", help="exhaustive anisotropy check mod p")
     _add_form_args(p_aniso)
-    p_aniso.add_argument("--json", action="store_true")
     p_aniso.set_defaults(func=cmd_aniso)
 
-    for sub in subs.choices.values():
+    for name, sub in subs.choices.items():
+        if name != "oracle":  # oracle's --json excludes its --csv
+            sub.add_argument("--json", action="store_true")
         sub.add_argument("--budget", type=int, default=None)
     return parser
 

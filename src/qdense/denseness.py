@@ -22,7 +22,8 @@ Rules, tried in this fixed order, earliest conclusive hit wins:
   R4  anisotropy obstruction (any degree n >= 2, all coefficient
       valuations agree mod n): scaling and x_i -> p^t x_i reduce F to its
       unit-part form; when that form has no nonzero root mod p, every value
-      valuation of F lies in one class mod n; NotDense.
+      valuation of F lies in one class mod n; NotDense.  An F_p walk that
+      exceeds the budget is skipped.
   R5  subform closure: the quotient set of a subform is contained in that
       of the full form, so any Dense binary subform decides Dense.  Reading
       the valuation profile once, it tries only pairs whose valuation classes
@@ -325,17 +326,13 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
             triple = _first_in_one_class(prof.residues, 3)
             if triple is not None:
                 stripped = DiagonalForm(3, [prof.unit_parts[i] for i in triple])
-                try:
-                    witness = find_nonsingular_zero_mod_p(stripped, p, budget)
-                except BudgetExceeded:
-                    trace.append(
-                        RuleApplication(
-                            "R3",
-                            "non-singular zero search skipped: exceeds the budget",
-                            {"indices": triple},
-                        )
-                    )
-                else:
+                witness = _attempt(
+                    trace, "R3",
+                    "non-singular zero search skipped: exceeds the budget",
+                    {"indices": triple},
+                    find_nonsingular_zero_mod_p, stripped, p, budget,
+                )
+                if witness is not None:
                     return _verdict(
                         trace, DENSE, "R3",
                         "three coefficients share a valuation class mod 3; "
@@ -353,19 +350,13 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
 
     if len(set(prof.residues)) == 1:
         unit_form = DiagonalForm(n, prof.unit_parts)
-        try:
-            aniso, _ = is_anisotropic_mod_p(unit_form, p, budget)
-        except BudgetExceeded:
-            aniso = False
-            trace.append(
-                RuleApplication(
-                    "R4",
-                    "anisotropy check skipped: enumeration over F_p^r "
-                    "exceeds the budget",
-                    {"r": form.r},
-                )
-            )
-        if aniso:
+        walk = _attempt(
+            trace, "R4",
+            "anisotropy check skipped: enumeration over F_p^r exceeds the budget",
+            {"r": form.r},
+            is_anisotropic_mod_p, unit_form, p, budget,
+        )
+        if walk is not None and walk[0]:
             return _verdict(
                 trace, NOT_DENSE, "R4",
                 "all coefficient valuations agree mod n, so scaling "
@@ -384,33 +375,25 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
     if n >= 3 and form.r >= 3:
         M = stabilization_exponent(n, p)
         vals, units, classes = prof.valuations, prof.unit_parts, prof.residues
-        pairs = combinations(range(form.r), 2)
         count = form.r * (form.r - 1) // 2
-        try:
-            charge(budget, f"search over {count} subform pairs", count)
-        except BudgetExceeded:
-            pairs = ()
-            skip = "subform search skipped: its r(r-1)/2 pairs exceed the budget"
-            trace.append(RuleApplication("R5", skip, {"pairs": count}))
-        for i, j in pairs:
+        searched = _attempt(
+            trace, "R5",
+            "subform search skipped: its r(r-1)/2 pairs exceed the budget",
+            {"pairs": count},
+            charge, budget, f"search over {count} subform pairs", count,
+        )
+        for i, j in combinations(range(form.r), 2) if searched else ():
             # R1 rules such a pair NotDense by {0, d, -d} alone; R5 needs Dense.
             if n >= 4 and classes[i] != classes[j]:
                 continue
             delta = vals[i] - vals[j]
-            try:
-                status, _, closing = _decide_pair(
-                    n, p, M, delta, units[i], units[j], budget
-                )
-            except BudgetExceeded:
-                trace.append(
-                    RuleApplication(
-                        "R5",
-                        "binary subform skipped: its decision exceeds the budget",
-                        {"indices": [i, j]},
-                    )
-                )
-                continue
-            if status == DENSE:
+            pair = _attempt(
+                trace, "R5",
+                "binary subform skipped: its decision exceeds the budget",
+                {"indices": [i, j]},
+                _decide_pair, n, p, M, delta, units[i], units[j], budget,
+            )
+            if pair is not None and pair[0] == DENSE:
                 return _verdict(
                     trace, DENSE, "R5",
                     "the quotient set of a subform is contained in "
@@ -420,7 +403,7 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
                         "indices": [i, j],
                         "subform_coeffs": [form.coeffs[i], form.coeffs[j]],
                     },
-                    cited=_r1_trace(n, M, delta, units[i], units[j], closing),
+                    cited=_r1_trace(n, M, delta, units[i], units[j], pair[2]),
                 )
 
     summary_note = (
@@ -431,6 +414,17 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
         "the full quadratic classification is prior work"
     )
     return _verdict(trace, INCONCLUSIVE, "R6", summary_note)
+
+
+def _attempt(trace, rule, skip, params, search, *args):
+    """search(*args), the one budgeted search behind `rule`.  Over budget,
+    the skip entry (rule, skip, params) joins the trace and this returns
+    None, so the later rules still run."""
+    try:
+        return search(*args)
+    except BudgetExceeded:
+        trace.append(RuleApplication(rule, skip, params))
+        return None
 
 
 def _verdict(trace, status, rule, statement, params=None, certificate=None, cited=()):

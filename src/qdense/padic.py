@@ -15,10 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-__all__ = [
-    "valuation",
-    "inverse_mod",
-]
+__all__ = ["valuation", "inverse_mod"]
 
 # Witness bases making Miller-Rabin a deterministic primality test for all
 # inputs below 3.3 * 10^24, comfortably past the 64-bit range we allow.

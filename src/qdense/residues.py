@@ -19,13 +19,7 @@ from itertools import count
 from math import gcd
 
 from .errors import DEFAULT_BUDGET, NoRoot, charge
-from .padic import (
-    as_prime,
-    inverse_mod,
-    split_power,
-    unit_residue,
-    valuation,
-)
+from .padic import as_prime, inverse_mod, split_power, unit_residue, valuation
 
 __all__ = [
     "stabilization_exponent",

@@ -1,11 +1,14 @@
+import ast
 import itertools
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdense import denseness
 from qdense.denseness import (
     DENSE,
     INCONCLUSIVE,
@@ -310,17 +313,41 @@ def test_r3_skips_over_budget_zero_search():
 def test_r5_charges_its_pairs_at_the_budget_boundary():
     # R3 (7^2 pairs) and R4 ((7^4 - 1)/6 vectors) are skipped at these
     # budgets; the r(r-1)/2 = 6 pairs fit exactly at 6, and (1, 1) is Dense
-    # with no enumeration.
+    # with no enumeration.  At 5 all three skip kinds meet in one trace.
     form = DiagonalForm(3, (1, 1, 1, 1))
     assert decide(form, 7, budget=6).deciding_rule == "R5"
     verdict = decide(form, 7, budget=5)
     assert verdict.status == INCONCLUSIVE
-    assert verdict.trace[-2] == (
-        "R5",
-        "subform search skipped: its r(r-1)/2 pairs exceed the budget",
-        {"pairs": 6},
+    assert verdict.trace == (
+        ("R3", "non-singular zero search skipped: exceeds the budget",
+         {"indices": [0, 1, 2]}),
+        ("R4", "anisotropy check skipped: enumeration over F_p^r exceeds the budget",
+         {"r": 4}),
+        ("R5", "subform search skipped: its r(r-1)/2 pairs exceed the budget",
+         {"pairs": 6}),
+        ("R6", "no rule applies; the fragment of theory implemented here leaves "
+         "this form undecided", {}),
     )
     assert verdict_from_dict(verdict_to_dict(verdict)) == verdict
+
+
+def test_attempt_is_the_one_writer_of_skip_entries():
+    # Every budgeted search of decide goes through _attempt, so no other
+    # function of the engine catches BudgetExceeded or appends to a trace.
+    def writes_a_skip(node):
+        if isinstance(node, ast.ExceptHandler):
+            return "BudgetExceeded" in ast.unparse(node.type)
+        return isinstance(node, ast.Attribute) and ast.unparse(node) == "trace.append"
+
+    tree = ast.parse(Path(denseness.__file__).read_text())
+    writers = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if writes_a_skip(node)
+    }
+    assert writers == {"_attempt"}
 
 
 @st.composite

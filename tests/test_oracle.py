@@ -4,6 +4,7 @@ import itertools
 import pickle
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -552,3 +553,21 @@ def test_report_repr_leaves_out_the_quotient_map():
         "quotient_valuation_residues=frozenset({0, 1, 2}), "
         "value_valuation_residues=frozenset({0, 1}))"
     )
+
+
+def test_value_and_quotient_reprs_show_class_counts():
+    # The 3^10-bit level masks exceed Python's int-to-str limit, so each
+    # level shows its class count; the quotient map leaves out `units`.
+    quotients = quotient_coverage(DiagonalForm(3, (1, 2)), 3, B=3, K=10, V=1).quotients
+    values_text = repr(quotients.values)
+    assert values_text == (
+        "ValueClasses(form=DiagonalForm(n=3, coeffs=(1, 2)), p=3, K=10, B=3, "
+        "class_counts={0: 28, 1: 8, 3: 4, 4: 2})"
+    )
+    assert repr(quotients) == (
+        f"QuotientClassMap(values={values_text}, "
+        "class_counts={0: 350, -1: 98, 1: 98})"
+    )
+    # The counts are those of the key sets.
+    assert Counter(v for v, _ in quotients.values.classes) == {0: 28, 1: 8, 3: 4, 4: 2}
+    assert Counter(v for v, _ in quotients.hits) == {0: 350, -1: 98, 1: 98}
