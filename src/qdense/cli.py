@@ -21,10 +21,10 @@ from fractions import Fraction
 from . import __version__
 from .certificates import to_dict as certificate_to_dict
 from .denseness import DENSE, INCONCLUSIVE, NOT_DENSE, decide, verdict_to_dict
-from .errors import DEFAULT_BUDGET, BudgetExceeded, NoRoot, charge, check_budget
+from .errors import DEFAULT_BUDGET, BudgetExceeded, NoRoot, charge, check_int
 from .forms import DiagonalForm, is_anisotropic_mod_p
 from .oracle import check_certificate, quotient_coverage
-from .padic import as_prime, valuation
+from .padic import as_prime
 from .residues import nth_power_residues, nth_root_in_Zp
 
 EXIT_BY_STATUS = {DENSE: 0, NOT_DENSE: 1, INCONCLUSIVE: 2}
@@ -38,19 +38,6 @@ _ROW_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "))
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _int_at_least(lo: int):
-    """argparse type: an int >= lo, so bad values exit 64 before any work."""
-
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < lo:
-            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
-        return value
-
-    parse.__name__ = "int"  # argparse names the type in its error message
-    return parse
 
 
 def _int_list(text: str) -> list:
@@ -69,7 +56,7 @@ def _budget(args) -> int:
         budget = args.budget if args.budget is not None else int(env or DEFAULT_BUDGET)
     except ValueError:
         raise ValueError(f"QDENSE_BUDGET must be an integer, got {env!r}") from None
-    return check_budget(budget)
+    return check_int(budget)
 
 
 def _emit(args, data: dict, text: str):
@@ -160,6 +147,7 @@ def _survey_rows(args, budget: int):
         lo, hi = args.coeff_range
         width = max(hi - lo + 1 - (lo <= 0 <= hi), 0)  # nonzero coefficients
         grid = len(args.n_list) * len(args.p_list)
+        check_int(args.vars, 1, "--vars")
         what = f"survey grid of {grid}*{width}^{args.vars} forms"
         charge(budget, what, grid * charge(budget, what, width, args.vars))
         coeff_values = [c for c in range(lo, hi + 1) if c != 0]
@@ -218,22 +206,18 @@ def cmd_lift(args) -> int:
         c = Fraction(args.c)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"cannot parse rational {args.c!r}") from None
-    if c == 0:
-        raise ValueError("c must be nonzero")
     # The root and modulus are printed in decimal, which Python refuses past
     # its int-to-str digit limit (0 or absent before 3.10.7: none).  p >= 2
     # has p^prec >= 2^prec > 10^limit once prec > 4*limit, so only smaller
-    # powers are built for the exact test.
+    # powers are built for the exact test; nth_root_in_Zp refuses a prec < 1.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     p = as_prime(args.p)
-    if limit and (args.prec > 4 * limit or p**args.prec >= 10**limit):
+    if limit and (args.prec > 4 * limit or 0 < args.prec and p**args.prec >= 10**limit):
         raise ValueError(
             f"--prec {args.prec}: {p}^{args.prec} has more than {limit} digits, "
             "past Python's int-to-str limit"
         )
     try:
-        if valuation(c, p) < 0:
-            raise NoRoot(f"x^{args.n} = {c} has no solution in Z_{p}")
         root = nth_root_in_Zp(c, args.n, p, args.prec, budget=_budget(args))
     except NoRoot as exc:
         print(f"NoRoot: {exc}", file=sys.stderr)
@@ -271,9 +255,7 @@ def cmd_aniso(args) -> int:
 
 
 def _add_form_args(sub):
-    sub.add_argument(
-        "--n", type=_int_at_least(1), required=True, help="degree of the form"
-    )
+    sub.add_argument("--n", type=int, required=True, help="degree of the form")
     sub.add_argument(
         "--coeffs",
         type=_int_list,
@@ -296,11 +278,9 @@ def build_parser() -> _Parser:
 
     p_oracle = subs.add_parser("oracle", help="brute-force coverage report")
     _add_form_args(p_oracle)
-    p_oracle.add_argument("--box", "-B", type=_int_at_least(0), default=50)
-    p_oracle.add_argument("--K", type=_int_at_least(1), default=2)
-    p_oracle.add_argument(
-        "--V", type=_int_at_least(0), default=None, help="default: n"
-    )
+    p_oracle.add_argument("--box", "-B", type=int, default=50)
+    p_oracle.add_argument("--K", type=int, default=2)
+    p_oracle.add_argument("--V", type=int, default=None, help="default: n")
     p_oracle.add_argument(
         "--check",
         action="store_true",
@@ -322,20 +302,20 @@ def build_parser() -> _Parser:
         metavar=("LO", "HI"),
         default=None,
     )
-    p_survey.add_argument("--vars", type=_int_at_least(1), default=2)
+    p_survey.add_argument("--vars", type=int, default=2)
     p_survey.set_defaults(func=cmd_survey)
 
     p_lift = subs.add_parser(
         "lift", help="constructive nth-root witness mod p^prec"
     )
     p_lift.add_argument("--c", required=True, help="rational, e.g. -1 or 8/27")
-    p_lift.add_argument("--n", type=_int_at_least(1), required=True)
+    p_lift.add_argument("--n", type=int, required=True)
     p_lift.add_argument("--p", type=int, required=True)
-    p_lift.add_argument("--prec", type=_int_at_least(1), required=True)
+    p_lift.add_argument("--prec", type=int, required=True)
     p_lift.set_defaults(func=cmd_lift)
 
     p_res = subs.add_parser("residues", help="dump nth-power residues mod p^M")
-    p_res.add_argument("--n", type=_int_at_least(1), required=True)
+    p_res.add_argument("--n", type=int, required=True)
     p_res.add_argument("--p", type=int, required=True)
     p_res.add_argument("--M", type=int, required=True)
     p_res.set_defaults(func=cmd_residues)

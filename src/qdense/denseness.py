@@ -44,7 +44,7 @@ from math import gcd
 from .certificates import ResidueGap, ValuationGap
 from .certificates import from_dict as certificate_from_dict
 from .certificates import to_dict as certificate_to_dict
-from .errors import DEFAULT_BUDGET, BudgetExceeded, charge, check_budget, record
+from .errors import DEFAULT_BUDGET, BudgetExceeded, charge, check_int, record
 from .forms import (
     DiagonalForm,
     find_nonsingular_zero_mod_p,
@@ -118,6 +118,7 @@ def difference_cover_check(residues, n: int):
 
     Returns (covers, missing_classes_sorted).
     """
+    check_int(n, 1, "modulus n")
     residues = {x % n for x in residues}
     if not residues:
         raise ValueError("need at least one residue")
@@ -150,14 +151,14 @@ def decide_binary(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdic
     """Complete decision for binary forms a*x^n + b*y^n, n >= 3.
 
     Never returns Inconclusive.  The verdict is invariant under scaling
-    (a, b) -> (c*a, c*b) and under swapping a and b.  A negative budget
-    raises ValueError, as in `decide`.
+    (a, b) -> (c*a, c*b) and under swapping a and b.  A budget that is not
+    an int >= 0 raises ValueError, as in `decide`.
     """
     if form.r != 2:
         raise ValueError("decide_binary needs exactly two coefficients")
     if form.n < 3:
         raise ValueError("binary decision rules require degree n >= 3")
-    check_budget(budget)
+    check_int(budget)
     p = as_prime(p)
     n, M = form.n, stabilization_exponent(form.n, p)
     delta, la, lb = normalize_binary(form, p)
@@ -275,7 +276,7 @@ def _smallest_non_residue(n: int, p: int):
 
 def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Apply rules R1-R6 in order; see the module docstring for the table."""
-    check_budget(budget)
+    check_int(budget)
     p = as_prime(p)
     n = form.n
     trace = []

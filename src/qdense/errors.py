@@ -1,11 +1,14 @@
-"""The enumeration budget, its one charge, the two exception types that
-callers catch, and the named-tuple base of the validating records.
+"""The one integer check, the enumeration budget and its one charge, the
+two exception types that callers catch, and the named-tuple base of the
+validating records.
 
 Bad input raises ValueError, and a broken invariant raises AssertionError.
-DEFAULT_BUDGET caps every exhaustive enumeration unless a caller passes its
-own budget, which `check_budget` rejects below 0; each enumeration states
-its size to `charge`, which raises BudgetExceeded past the budget and
-ValueError for a negative one.  A missing p-adic root raises NoRoot.
+`check_int` is the one check of an integer parameter (n, M, K, B, V or a
+budget) of the public API: ValueError for anything but an int, a bool
+included, and for a value below its range.  Each enumeration states its
+size to `charge`, which raises BudgetExceeded past the budget
+(DEFAULT_BUDGET unless the caller passes one).  A missing p-adic root
+raises NoRoot.
 """
 
 from collections import namedtuple
@@ -23,22 +26,23 @@ class NoRoot(ValueError):
     """Requested nth root does not exist in the p-adic integers."""
 
 
-def check_budget(budget: int) -> int:
-    """The budget, once it is >= 0; a negative one raises ValueError."""
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
-    return budget
+def check_int(value, lo: int = 0, name: str = "budget") -> int:
+    """value, once it is an int (not a bool) and >= lo; else ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {type(value).__name__}")
+    if value < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {value}")
+    return value
 
 
 def charge(budget: int, what: str, base: int, exp: int = 1) -> int:
-    """base**exp if it is at most the budget, else BudgetExceeded; a negative
-    budget raises ValueError (`check_budget`).  For base >= 2 the power is
-    at least 2^exp, so once exp > budget.bit_length() it exceeds the budget
-    and is never built."""
+    """base**exp if it is at most the budget, else BudgetExceeded; a budget
+    that is not an int >= 0 raises ValueError (`check_int`).  For base >= 2
+    the power is at least 2^exp, so once exp > budget.bit_length() it
+    exceeds the budget and is never built."""
+    check_int(budget)
     if (base < 2 or exp <= budget.bit_length()) and (count := base**exp) <= budget:
         return count
-    # No count is negative, so a negative budget always ends up here.
-    check_budget(budget)
     raise BudgetExceeded(f"{what} exceeds budget {budget}")
 
 

@@ -27,7 +27,7 @@ from collections import defaultdict, namedtuple
 from functools import cached_property
 
 from .certificates import ResidueGap, ValuationGap
-from .errors import DEFAULT_BUDGET, charge, record
+from .errors import DEFAULT_BUDGET, charge, check_int, record
 from .forms import DiagonalForm
 from .padic import as_prime, inverse_mod, split_power
 from .residues import _generator, _unit_group
@@ -266,10 +266,8 @@ def _split(bucket: list, p: int, pK: int) -> tuple:
 
 def _charge_box(form: DiagonalForm, p: int, B: int, K: int, budget: int) -> int:
     """Check B and K, then charge the box and the p^K-bit mask; returns p^K."""
-    if B < 0:
-        raise ValueError(f"box bound B must be >= 0, got {B}")
-    if K < 1:
-        raise ValueError(f"unit precision K must be >= 1, got {K}")
+    check_int(B, 0, "box bound B")
+    check_int(K, 1, "unit precision K")
     charge(budget, f"box of ({2*B+1})^{form.r} points", 2 * B + 1, form.r)
     return charge(budget, f"residue bitmask mod {p}^{K}", p, K)
 
@@ -443,8 +441,7 @@ def quotient_coverage(
     `missed` and the reports hold.  Coverage is each level's popcount over
     phi(p^K); `missed` is built when first read.
     """
-    if V < 0:
-        raise ValueError(f"valuation window V must be >= 0, got {V}")
+    check_int(V, 0, "valuation window V")
     p = as_prime(p)
     pK = _charge_box(form, p, B, K, budget)
     phi = pK - pK // p

@@ -15,6 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from .errors import check_int
+
 __all__ = ["valuation", "inverse_mod"]
 
 # Witness bases making Miller-Rabin a deterministic primality test for all
@@ -89,8 +91,7 @@ def valuation(x, p) -> int:
 
 def inverse_mod(a: int, modulus: int) -> int:
     """The x in [0, modulus-1] with a*x == 1 (mod modulus)."""
-    if modulus < 1:
-        raise ValueError("modulus must be >= 1")
+    check_int(modulus, 1, "modulus")
     try:
         return pow(a, -1, modulus)
     except ValueError:
@@ -100,6 +101,7 @@ def inverse_mod(a: int, modulus: int) -> int:
 def unit_residue(x, p, K: int) -> int:
     """Residue mod p^K of the unit part x / p^valuation(x); ValueError on x == 0."""
     p = as_prime(p)
+    check_int(K, 1, "precision K")
     x = Fraction(x)
     v = valuation(x, p)
     u = x / Fraction(p) ** v

@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import count
 from math import gcd
 
-from .errors import DEFAULT_BUDGET, NoRoot, charge
+from .errors import DEFAULT_BUDGET, NoRoot, charge, check_int
 from .padic import as_prime, inverse_mod, split_power, unit_residue, valuation
 
 __all__ = [
@@ -34,25 +34,21 @@ def stabilization_exponent(n: int, p) -> int:
     """M = v_p(n) + v_p(2^[2|n]) + 1.
 
     The bracket [2|n] is 1 iff n is even, so the middle term is 1 exactly
-    when p = 2 and n is even.  Raises ValueError for n == 0.
+    when p = 2 and n is even.  Raises ValueError for n < 1.
     """
     p = as_prime(p)
+    check_int(n, 1, "exponent n")
     k, _ = split_power(n, p)
     return k + (1 if (p == 2 and n % 2 == 0) else 0) + 1
-
-
-@lru_cache(maxsize=4096)
-def _residue_members(n: int, p: int, pM: int) -> frozenset:
-    return frozenset(pow(a, n, pM) for a in range(1, pM) if a % p)
 
 
 def nth_power_residues(n: int, p, M: int, budget: int = DEFAULT_BUDGET) -> frozenset:
     """Exact residue set {a^n mod p^M : p does not divide a}, by enumeration."""
     p = as_prime(p)
-    if M < 1:
-        raise ValueError("modulus exponent M must be >= 1")
+    check_int(n, 1, "exponent n")
+    check_int(M, 1, "modulus exponent M")
     pM = charge(budget, f"enumerating units mod {p}^{M}", p, M)
-    return _residue_members(n, p, pM)
+    return frozenset(pow(a, n, pM) for a in range(1, pM) if a % p)
 
 
 def _unit_group(p: int, K: int, u: int = 1) -> tuple:
@@ -98,10 +94,8 @@ def is_nth_power_residue(u: int, n: int, p, M: int) -> bool:
     for M = 1 this is one pow, even at p near 2^64.
     """
     p = as_prime(p)
-    if M < 1:
-        raise ValueError("modulus exponent M must be >= 1")
-    if n < 1:
-        raise ValueError("exponent n must be >= 1")
+    check_int(n, 1, "exponent n")
+    check_int(M, 1, "modulus exponent M")
     if u % p == 0:
         raise ValueError(f"{u} is divisible by {p}")
     T, m, a = _unit_group(p, M, u)
@@ -116,6 +110,7 @@ def is_nth_power_in_Zp(c, n: int, p) -> bool:
     modulo p^M with M = stabilization_exponent(n, p).
     """
     p = as_prime(p)
+    check_int(n, 1, "exponent n")
     c = Fraction(c)
     if c == 0:
         raise ValueError("c must be nonzero")
@@ -134,13 +129,15 @@ def nth_root_in_Zp(c, n: int, p, K: int, budget: int = DEFAULT_BUDGET) -> int:
     Locates a starting root y of y^n = unit(c) by enumeration at a depth E
     deep enough for the Newton inequality (max of M + 1 and 2*v_p(n) + 1),
     then lifts it by Newton steps on f(y) = y^n - unit(c).  Raises NoRoot
-    when c is not an nth power in Z_p.
+    when c is not an nth power in Z_p, a c of negative valuation included.
     """
     p = as_prime(p)
-    if not is_nth_power_in_Zp(c, n, p):
-        raise NoRoot(f"x^{n} = {c} has no solution in Z_{p}")
+    check_int(n, 1, "exponent n")
+    check_int(K, 1, "precision K")
     c = Fraction(c)
-    v = valuation(c, p)
+    v = valuation(c, p) if c else 0
+    if v < 0 or not is_nth_power_in_Zp(c, n, p):
+        raise NoRoot(f"x^{n} = {c} has no solution in Z_{p}")
     if v // n >= K:
         return 0  # the root p^(v/n) * unit lies in p^K Z_p
     # x = p^(v/n) * y, so y is needed mod p^k.  A root of y^n = target is

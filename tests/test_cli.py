@@ -85,6 +85,9 @@ def test_decide_usage_error_exit_64(capsys):
         (["oracle", "--n", "3", "--coeffs", "1,2", "--p", "7", "--box", "1", "--K", "1",
           "--V", "1000000", "--budget", "1000"], 65),
         (["decide", "--n", "3", "--coeffs", "1,a", "--p", "7"], 64),
+        (["residues", "--n", "0", "--p", "7", "--M", "1"], 64),
+        (["lift", "--c", "8", "--n", "3", "--p", "5", "--prec", "-1"], 64),
+        (["aniso", "--n", "1", "--coeffs", "1,1", "--p", "7"], 64),
     ],
 )
 def test_bad_input_fails_closed(argv, code, capsys):
@@ -92,6 +95,29 @@ def test_bad_input_fails_closed(argv, code, capsys):
     err = capsys.readouterr().err
     assert ("error" in err) == (code != 0)
     assert "<lambda>" not in err
+
+
+ORACLE = "oracle --n 3 --coeffs 1,1 --p 7"
+SURVEY = "survey --n-list 3 --p-list 7 --coeff-range 1 2"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (f"{ORACLE} --K 0", "unit precision K must be >= 1, got 0"),
+        (f"{ORACLE} --box -1", "box bound B must be >= 0, got -1"),
+        (f"{ORACLE} --V -2", "valuation window V must be >= 0, got -2"),
+        (f"{SURVEY} --vars 0", "--vars must be >= 1, got 0"),
+        ("residues --n 0 --p 7 --M 1", "exponent n must be >= 1, got 0"),
+        ("lift --c 1/5 --n 3 --p 5 --prec 0", "precision K must be >= 1, got 0"),
+        # No float power p^prec is built for the int-to-str limit test.
+        ("lift --c 8 --n 3 --p 5 --prec -1" + "0" * 400, "precision K must be >= 1"),
+    ],
+    ids=["K", "box", "V", "vars", "residues-n", "prec", "huge-negative-prec"],
+)
+def test_integer_bounds_are_checked_by_the_library(argv, message, capsys):
+    assert main(argv.split()) == 64
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_oracle_table_over_the_budget_fails_closed_within_a_second(capsys):
