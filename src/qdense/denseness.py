@@ -162,37 +162,34 @@ def decide_binary(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdic
     p = as_prime(p)
     n, M = form.n, stabilization_exponent(form.n, p)
     delta, la, lb = normalize_binary(form, p)
-    status, certificate, closing = _decide_pair(n, p, M, delta, la, lb, budget)
-    return Verdict(status, _r1_trace(n, M, delta, la, lb, closing), certificate)
+    trace = [_r1_normalize(n, M, delta, la, lb)]
+    return _verdict(p, n, trace, "R1", *_decide_pair(n, p, M, delta, la, lb, budget))
 
 
-def _r1_trace(n, M, delta, la, lb, closing) -> tuple:
-    """R1's trace: the normalize step, then the entry that closed the decision."""
-    return (
-        RuleApplication(
-            "R1",
-            "normalize: scaling the form by a constant and substituting "
-            "x -> p^t x both preserve the quotient set, so only "
-            "delta = v_p(a) - v_p(b) mod n and the unit cofactors matter",
-            {"delta": delta, "delta_class": delta % n, "units": [la, lb], "M": M},
-        ),
-        closing,
+def _r1_normalize(n, M, delta, la, lb) -> RuleApplication:
+    """R1's first entry, the normalize step."""
+    return RuleApplication(
+        "R1",
+        "normalize: scaling the form by a constant and substituting "
+        "x -> p^t x both preserve the quotient set, so only "
+        "delta = v_p(a) - v_p(b) mod n and the unit cofactors matter",
+        {"delta": delta, "delta_class": delta % n, "units": [la, lb], "M": M},
     )
 
 
 def _decide_pair(n, p, M, delta, la, lb, budget) -> tuple:
     """R1 after the normalize step, for p^delta*la*x^n + lb*y^n (units la, lb):
-    (status, certificate, closing entry).  The certificate is None unless
-    the status is NotDense; then it is a ValuationGap on the entry's
-    `forbidden` classes, or a ResidueGap on the unit `m` it misses mod p."""
+    (status, citation, params) of the entry that closes the decision.  A
+    NotDense entry's params name the classes it `forbidden`s, or the unit
+    `m` it misses mod p, for `_verdict` to certify."""
     d = delta % n
     pM = p**M
 
     if d == 0:
         m0 = (-inverse_mod(la % pM, pM) * lb) % pM
         if is_nth_power_residue(m0, n, p, M):
-            return DENSE, None, RuleApplication(
-                "R1",
+            return (
+                DENSE,
                 "the unit ratio -la^{-1}*lb is an nth-power residue mod "
                 "p^M, hence an nth power of a p-adic unit (residue "
                 "status stabilizes from exponent M on, and Newton "
@@ -204,9 +201,8 @@ def _decide_pair(n, p, M, delta, la, lb, budget) -> tuple:
         offsets = _cancellation_offsets(m0, n, p, M, budget)
         covers, missing = difference_cover_check(offsets, n)
         if not covers:
-            gap = ValuationGap(p, n, missing)
-            return NOT_DENSE, gap, RuleApplication(
-                "R1",
+            return (
+                NOT_DENSE,
                 "the unit ratio m0 is not an nth-power residue mod p^M, "
                 "so cancellation between the two monomials stops at the "
                 "listed depths; value valuations lie in nZ + offsets and "
@@ -219,8 +215,8 @@ def _decide_pair(n, p, M, delta, la, lb, budget) -> tuple:
         # parameter, so its unit classes saturate and every ball is hit.
         if (p, n) != (3, 3):
             raise AssertionError("offset saturation outside p = n = 3")
-        return DENSE, None, RuleApplication(
-            "R1",
+        return (
+            DENSE,
             "cancellation-depth saturation: the offsets realize every "
             "valuation class mod n, and at depth-1 cancellation the "
             "value unit parts fill all residues at every precision "
@@ -232,9 +228,8 @@ def _decide_pair(n, p, M, delta, la, lb, budget) -> tuple:
     # n does not divide delta.
     covers, missing = difference_cover_check({0, d}, n)
     if not covers:
-        gap = ValuationGap(p, n, missing)
-        return NOT_DENSE, gap, RuleApplication(
-            "R1",
+        return (
+            NOT_DENSE,
             "the two monomials always have distinct valuations mod n, "
             "so no cancellation ever occurs: value valuations lie in "
             "(nZ) u (d + nZ) exactly and quotient valuations cover only "
@@ -244,17 +239,16 @@ def _decide_pair(n, p, M, delta, la, lb, budget) -> tuple:
     # n == 3 with d in {1, 2}: valuations cover Z/3, so units decide.
     m = _smallest_non_residue(n, p)
     if m is not None:
-        gap = ResidueGap(p, n, m, 1)
-        return NOT_DENSE, gap, RuleApplication(
-            "R1",
+        return (
+            NOT_DENSE,
             "every valuation-zero quotient is a ratio of values from "
             "non-cancelling levels, hence congruent mod p to a ratio of "
             "nth powers; m is not an nth-power residue mod p, so the "
             "ball around m at valuation zero is never hit",
             {"d": d, "m": m},
         )
-    return DENSE, None, RuleApplication(
-        "R1",
+    return (
+        DENSE,
         "valuation classes {0, d, -d} cover Z/3 and every unit is an "
         "nth-power residue mod p, so one valuation level has saturated "
         "unit classes (for p != 3 all units are nth powers outright; "
@@ -290,7 +284,7 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
         if gate and not prof.pairwise_distinct:
             pair = _first_in_one_class(prof.residues, 2)
             return _verdict(
-                trace, DENSE, "R2",
+                p, n, trace, "R2", DENSE,
                 "gcd(n, p(p-1)) = 1, so every p-adic unit is an nth "
                 "power; two coefficients share a valuation class mod n "
                 "and the binary subform they span is dense, hence so is "
@@ -301,18 +295,17 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
             covers, missing = difference_cover_check(set(prof.residues), n)
             if not covers:
                 return _verdict(
-                    trace, NOT_DENSE, "R2",
+                    p, n, trace, "R2", NOT_DENSE,
                     "coefficient valuations are pairwise distinct mod n, "
                     "so the ultrametric minimum is attained exactly and "
                     "value valuations stay in the coefficient classes; "
                     "quotient valuations are confined to the difference "
                     "set, which misses the listed classes",
                     {"residues": list(prof.residues), "forbidden": missing},
-                    ValuationGap(p, n, missing),
                 )
             if gate:
                 return _verdict(
-                    trace, DENSE, "R2",
+                    p, n, trace, "R2", DENSE,
                     "gcd(n, p(p-1)) = 1 and the coefficient valuation "
                     "differences cover Z/nZ (automatic when r > n/2), so "
                     "every target valuation is matched by some pair "
@@ -335,7 +328,7 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
                 )
                 if witness is not None:
                     return _verdict(
-                        trace, DENSE, "R3",
+                        p, n, trace, "R3", DENSE,
                         "three coefficients share a valuation class mod 3; "
                         "stripping p-powers leaves a unit ternary cubic, "
                         "which has a non-singular zero over F_p (p != 3), "
@@ -359,7 +352,7 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
         )
         if walk is not None and walk[0]:
             return _verdict(
-                trace, NOT_DENSE, "R4",
+                p, n, trace, "R4", NOT_DENSE,
                 "all coefficient valuations agree mod n, so scaling "
                 "and x_i -> p^t x_i reduce the form to its unit-part "
                 "form, which has no nonzero root mod p; a zero mod p "
@@ -370,7 +363,6 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
                     "unit_coeffs": list(unit_form.coeffs),
                     "forbidden": list(range(1, n)),
                 },
-                ValuationGap(p, n, range(1, n)),
             )
 
     if n >= 3 and form.r >= 3:
@@ -395,8 +387,9 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
                 _decide_pair, n, p, M, delta, units[i], units[j], budget,
             )
             if pair is not None and pair[0] == DENSE:
+                normalize = _r1_normalize(n, M, delta, units[i], units[j])
                 return _verdict(
-                    trace, DENSE, "R5",
+                    p, n, trace, "R5", DENSE,
                     "the quotient set of a subform is contained in "
                     "the full quotient set, and the binary subform "
                     "on the listed coordinates is dense",
@@ -404,7 +397,7 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
                         "indices": [i, j],
                         "subform_coeffs": [form.coeffs[i], form.coeffs[j]],
                     },
-                    cited=_r1_trace(n, M, delta, units[i], units[j], pair[2]),
+                    cited=(normalize, RuleApplication("R1", *pair[1:])),
                 )
 
     summary_note = (
@@ -414,7 +407,7 @@ def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:
         else "degree-2 forms are only decided by the anisotropy rule here; "
         "the full quadratic classification is prior work"
     )
-    return _verdict(trace, INCONCLUSIVE, "R6", summary_note)
+    return _verdict(p, n, trace, "R6", INCONCLUSIVE, summary_note)
 
 
 def _attempt(trace, rule, skip, params, search, *args):
@@ -428,10 +421,16 @@ def _attempt(trace, rule, skip, params, search, *args):
         return None
 
 
-def _verdict(trace, status, rule, statement, params=None, certificate=None, cited=()):
+def _verdict(p, n, trace, rule, status, statement, params=None, cited=()):
     """The verdict `rule` reaches: its entry closes the trace of the rules
     tried before it, followed by the entries it cites (R5's dense subform
-    cites its R1 trace)."""
+    cites its R1 trace).  A NotDense certificate is read off the entry's
+    params: a ResidueGap on the unit `m`, else a ValuationGap on `forbidden`."""
+    certificate = None
+    if status == NOT_DENSE and "m" in params:
+        certificate = ResidueGap(p, n, params["m"], 1)
+    elif status == NOT_DENSE:
+        certificate = ValuationGap(p, n, params["forbidden"])
     entry = RuleApplication(rule, statement, params)
     return Verdict(status, (*trace, entry, *cited), certificate)
 

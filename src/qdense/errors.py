@@ -3,12 +3,12 @@ two exception types that callers catch, and the named-tuple base of the
 validating records.
 
 Bad input raises ValueError, and a broken invariant raises AssertionError.
-`check_int` is the one check of an integer parameter (n, M, K, B, V or a
-budget) of the public API: ValueError for anything but an int, a bool
-included, and for a value below its range.  Each enumeration states its
-size to `charge`, which raises BudgetExceeded past the budget
-(DEFAULT_BUDGET unless the caller passes one).  A missing p-adic root
-raises NoRoot.
+`check_int` is the one check of an integer parameter (n, M, K, B, V, a
+budget, a unit) of the public API: ValueError for anything but an int, a
+bool included, and for a value below its range, if it has one.  Each
+enumeration states its size to `charge`, which raises BudgetExceeded past
+the budget (DEFAULT_BUDGET unless the caller passes one).  A missing
+p-adic root raises NoRoot.
 """
 
 from collections import namedtuple
@@ -26,11 +26,11 @@ class NoRoot(ValueError):
     """Requested nth root does not exist in the p-adic integers."""
 
 
-def check_int(value, lo: int = 0, name: str = "budget") -> int:
-    """value, once it is an int (not a bool) and >= lo; else ValueError."""
+def check_int(value, lo: int | None = 0, name: str = "budget") -> int:
+    """value, if an int (not a bool) and >= lo unless lo is None; else ValueError."""
     if type(value) is not int:
         raise ValueError(f"{name} must be an int, got {type(value).__name__}")
-    if value < lo:
+    if lo is not None and value < lo:
         raise ValueError(f"{name} must be >= {lo}, got {value}")
     return value
 

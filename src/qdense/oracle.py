@@ -516,16 +516,14 @@ def check_certificate(certificate, report: CoverageReport) -> CheckResult:
 
 
 def coverage_trend(
-    form: DiagonalForm,
-    p,
-    K: int,
-    V: int,
-    boxes,
-    budget: int = DEFAULT_BUDGET,
+    form: DiagonalForm, p, K: int, V: int, boxes, budget: int = DEFAULT_BUDGET
 ) -> list:
     """Coverage reports over an increasing sequence of boxes.
 
     For genuinely dense quotient sets the per-level fractions climb toward
     1; hit classes are never lost when the box grows.
     """
+    # Checked here too: an empty box list never reaches quotient_coverage.
+    check_int(K, 1, "unit precision K")
+    check_int(V, 0, "valuation window V")
     return [quotient_coverage(form, p, B, K, V, budget) for B in boxes]

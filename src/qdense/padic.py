@@ -91,6 +91,7 @@ def valuation(x, p) -> int:
 
 def inverse_mod(a: int, modulus: int) -> int:
     """The x in [0, modulus-1] with a*x == 1 (mod modulus)."""
+    check_int(a, None, "residue a")
     check_int(modulus, 1, "modulus")
     try:
         return pow(a, -1, modulus)

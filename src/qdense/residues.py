@@ -94,6 +94,7 @@ def is_nth_power_residue(u: int, n: int, p, M: int) -> bool:
     for M = 1 this is one pow, even at p near 2^64.
     """
     p = as_prime(p)
+    check_int(u, None, "unit u")
     check_int(n, 1, "exponent n")
     check_int(M, 1, "modulus exponent M")
     if u % p == 0:

@@ -350,6 +350,39 @@ def test_attempt_is_the_one_writer_of_skip_entries():
     assert writers == {"_attempt"}
 
 
+def test_verdict_is_the_one_builder_of_verdicts_and_certificates():
+    # Every rule, R1 included, concludes through _verdict, which reads a
+    # NotDense certificate off its deciding entry; verdict_from_dict only
+    # rebuilds a verdict read from JSON.
+    builders = {"Verdict", "ValuationGap", "ResidueGap"}
+    tree = ast.parse(Path(denseness.__file__).read_text())
+    callers = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in builders
+    }
+    assert callers == {"_verdict", "verdict_from_dict"}
+
+
+def test_every_verdict_of_decide_leaves_through_verdict(monkeypatch):
+    # Binary forms too: decide hands them to decide_binary.
+    built, build = [], denseness._verdict
+
+    def spy(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(denseness, "_verdict", spy)
+    rng = random.Random(7)
+    for _ in range(300):
+        n, p, r = rng.randint(2, 9), rng.choice([2, 3, 5, 7, 13]), rng.randint(1, 4)
+        coeffs = [rng.choice([1, -1]) * rng.randint(1, 60) for _ in range(r)]
+        verdict = decide(DiagonalForm(n, coeffs), p)
+        assert verdict is built[-1], (n, coeffs, p)
+
+
 @st.composite
 def _r5_case(draw):
     p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))

@@ -69,8 +69,9 @@ def test_every_enumeration_rejects_a_negative_budget(run):
 
 
 # Every integer parameter of the public API, as (name in the message, least
-# allowed value, a call passing the value there).  The records (DiagonalForm,
-# the certificates) and as_prime validate their own fields.
+# allowed value or None for any int, a call passing the value there).  The
+# records (DiagonalForm, the certificates) and as_prime validate their own
+# fields.
 TERNARY = DiagonalForm(3, (1, 1, 1))
 INTEGER_PARAMETERS = {
     "charge-budget": ("budget", 0, lambda v: charge(v, "the walk", 2, 3)),
@@ -95,6 +96,9 @@ INTEGER_PARAMETERS = {
     "nth_power_residues-budget": (
         "budget", 0, lambda v: nth_power_residues(3, 5, 1, v)
     ),
+    "is_nth_power_residue-u": (
+        "unit u", None, lambda v: is_nth_power_residue(v, 3, 7, 1)
+    ),
     "is_nth_power_residue-n": (
         "exponent n", 1, lambda v: is_nth_power_residue(2, v, 7, 1)
     ),
@@ -106,6 +110,7 @@ INTEGER_PARAMETERS = {
     "nth_root_in_Zp-K": ("precision K", 1, lambda v: nth_root_in_Zp(8, 3, 5, v)),
     "nth_root_in_Zp-budget": ("budget", 0, lambda v: nth_root_in_Zp(8, 3, 5, 3, v)),
     "unit_residue-K": ("precision K", 1, lambda v: unit_residue(3, 5, v)),
+    "inverse_mod-a": ("residue a", None, lambda v: inverse_mod(v, 7)),
     "inverse_mod-modulus": ("modulus", 1, lambda v: inverse_mod(3, v)),
     "enumerate_values-B": (
         "box bound B", 0, lambda v: enumerate_values(CUBIC, 7, v, 1)
@@ -134,6 +139,12 @@ INTEGER_PARAMETERS = {
     "coverage_trend-V": (
         "valuation window V", 0, lambda v: coverage_trend(CUBIC, 7, 1, v, [1])
     ),
+    "coverage_trend-K-no-boxes": (
+        "unit precision K", 1, lambda v: coverage_trend(CUBIC, 7, v, 1, [])
+    ),
+    "coverage_trend-V-no-boxes": (
+        "valuation window V", 0, lambda v: coverage_trend(CUBIC, 7, 1, v, [])
+    ),
     "coverage_trend-boxes": (
         "box bound B", 0, lambda v: coverage_trend(CUBIC, 7, 1, 1, [v])
     ),
@@ -149,7 +160,12 @@ INTEGER_PARAMETERS = {
 )
 def test_every_integer_parameter_is_an_int_in_its_range(name, lo, run, kind):
     # Never truncated, coerced or let through to fail later as a TypeError,
-    # AttributeError or ZeroDivisionError, or to return a wrong answer.
+    # AttributeError or ZeroDivisionError, or to return a wrong answer.  A
+    # parameter with no lower bound takes any int, a negative one included.
+    if lo is None and kind == "below":
+        run(-1)
+        return
+    lo = 0 if lo is None else lo
     value = {"float": lo + 0.5, "bool": True, "str": str(lo), "below": lo - 1}[kind]
     got = f">= {lo}, got {lo - 1}" if kind == "below" else f"an int, got {kind}"
     with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be {got}')}$"):
