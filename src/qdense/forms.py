@@ -3,14 +3,15 @@
 A diagonal form is F(x_1..x_r) = a_1 x_1^n + ... + a_r x_r^n with nonzero
 integer coefficients.  This module provides exact evaluation, the
 quotient-preserving binary normalization (constant scaling and x -> p^t x
-leave the quotient set unchanged), valuation profiles, and one walk of the
-zeros mod p, in lexicographic order, that both F_p searches share: the
-anisotropy check and the non-singular zero search for ternary cubics.
+leave the quotient set unchanged), valuation profiles, and one table-driven
+walk of the zeros mod p, in lexicographic order, shared by the anisotropy
+check and the non-singular zero search for ternary cubics.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import getitem
 
 from .errors import DEFAULT_BUDGET, charge, record
 from .padic import as_prime, split_power
@@ -94,15 +95,16 @@ def normalize_binary(form: DiagonalForm, p) -> tuple:
 def _zeros_mod_p(form: DiagonalForm, p: int):
     """The nonzero zeros of the form mod p whose first nonzero coordinate is
     1, in lexicographic order.  F(c*x) = c^n F(x), so every other zero is a
-    scalar multiple of one of these, and comes after it."""
-    residues = [a % p for a in form.coeffs]
-    pow_table = [pow(x, form.n, p) for x in range(p)]
+    scalar multiple of one of these, and comes after it.  Coordinates 2..r
+    get one p-entry table of a_i*x^n mod p each, built per call (none when
+    r = 1), and a vector's tuple is built only when it is a zero."""
+    lead_terms = [a % p for a in form.coeffs]  # the term of a leading 1
+    tables = [[a * pow(x, form.n, p) % p for x in range(p)] for a in lead_terms[1:]]
     for lead in reversed(range(form.r)):
-        prefix = (0,) * lead + (1,)
-        for tail in itertools.product(range(p), repeat=form.r - 1 - lead):
-            vec = prefix + tail
-            if sum(a * pow_table[x] for a, x in zip(residues, vec)) % p == 0:
-                yield vec
+        prefix, tail_tables = (0,) * lead + (1,), tables[lead:]
+        for tail in itertools.product(range(p), repeat=len(tail_tables)):
+            if sum(map(getitem, tail_tables, tail), lead_terms[lead]) % p == 0:
+                yield prefix + tail
 
 
 def is_anisotropic_mod_p(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET):

@@ -22,7 +22,7 @@ from qdense.denseness import (
     verdict_to_dict,
 )
 from qdense.errors import DEFAULT_BUDGET, BudgetExceeded
-from qdense.forms import DiagonalForm, valuation_profile
+from qdense.forms import DiagonalForm, is_anisotropic_mod_p, valuation_profile
 from qdense.residues import is_nth_power_residue
 
 # ---------------------------------------------------------------------------
@@ -168,6 +168,18 @@ def test_decide_at_a_61_bit_prime_builds_no_table(coeffs, status, rule):
     verdict = decide(DiagonalForm(3, coeffs), 2**61 - 1)
     assert time.perf_counter() - start < 0.1
     assert (verdict.status, verdict.deciding_rule) == (status, rule)
+
+
+def test_one_variable_walk_at_a_61_bit_prime_builds_no_table():
+    # r = 1 walks the single vector (1,): the F_p zero walk builds tables only
+    # for tail coordinates, so a one-variable form builds none.
+    start = time.perf_counter()
+    verdict = decide(DiagonalForm(2, (3,)), 2**61 - 1)
+    assert time.perf_counter() - start < 0.1
+    assert (verdict.status, verdict.deciding_rule) == (NOT_DENSE, "R4")
+    start = time.perf_counter()
+    assert is_anisotropic_mod_p(DiagonalForm(3, (5,)), 2**61 - 1) == (True, None)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_decide_r2_distinct_cover():

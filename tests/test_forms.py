@@ -3,12 +3,13 @@ import random
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdense.errors import BudgetExceeded
 from qdense.forms import (
     DiagonalForm,
+    _zeros_mod_p,
     find_nonsingular_zero_mod_p,
     is_anisotropic_mod_p,
     normalize_binary,
@@ -202,6 +203,42 @@ def test_nonsingular_zero_is_least(case):
             find_nonsingular_zero_mod_p(form, p)
     else:
         assert find_nonsingular_zero_mod_p(form, p) == least
+
+
+def _reference_zeros(form, p):
+    """The F_p zero walk as one loop per vector: build the vector, then sum
+    its r terms from a power table."""
+    residues = [a % p for a in form.coeffs]
+    pow_table = [pow(x, form.n, p) for x in range(p)]
+    for lead in reversed(range(form.r)):
+        prefix = (0,) * lead + (1,)
+        for tail in itertools.product(range(p), repeat=form.r - 1 - lead):
+            vec = prefix + tail
+            if sum(a * pow_table[x] for a, x in zip(residues, vec)) % p == 0:
+                yield vec
+
+
+PRIMES_TO_31 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+@settings(deadline=None)
+@given(forms_mod_p(n=st.integers(2, 16), primes=st.sampled_from(PRIMES_TO_31)))
+def test_zero_walk_matches_the_per_vector_reference(case):
+    # Same vectors in the same order, so every caller's witness is unchanged.
+    form, p = case
+    assert list(_zeros_mod_p(form, p)) == list(_reference_zeros(form, p))
+
+
+@given(st.sampled_from([p for p in PRIMES_TO_31 if p != 3]),
+       st.lists(st.integers(1, 60), min_size=3, max_size=3))
+def test_nonsingular_zero_matches_the_reference_walk(p, coeffs):
+    # A unit ternary cubic at p != 3 always has a non-singular zero.
+    form = DiagonalForm(3, [a if a % p else a + 1 for a in coeffs])
+    expected = next(
+        vec for vec in _reference_zeros(form, p)
+        if any(3 * a * x * x % p for a, x in zip(form.coeffs, vec))
+    )
+    assert find_nonsingular_zero_mod_p(form, p) == expected
 
 
 # ---------------------------------------------------------------------------
