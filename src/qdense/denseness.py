@@ -236,9 +236,10 @@ def _decide_pair(n, p, M, delta, la, lb, budget) -> tuple:
             "{0, d, -d} mod n",
             {"d": d, "forbidden": missing},
         )
-    # n == 3 with d in {1, 2}: valuations cover Z/3, so units decide.
-    m = _smallest_non_residue(n, p)
-    if m is not None:
+    # n == 3 with d in {1, 2}: valuations cover Z/3, so units decide.  When
+    # gcd(3, p - 1) > 1 the cubes are a proper subgroup of F_p^*: m exists.
+    if gcd(n, p - 1) > 1:
+        m = next(m for m in range(2, p) if not is_nth_power_residue(m, n, p, 1))
         return (
             NOT_DENSE,
             "every valuation-zero quotient is a ratio of values from "
@@ -256,16 +257,6 @@ def _decide_pair(n, p, M, delta, la, lb, budget) -> tuple:
         "derivative) and every ball is hit",
         {"d": d},
     )
-
-
-def _smallest_non_residue(n: int, p: int):
-    """Smallest unit that is not an nth-power residue mod p, if any."""
-    if gcd(n, p - 1) == 1:
-        return None
-    for m in range(2, p):
-        if not is_nth_power_residue(m, n, p, 1):
-            return m
-    return None
 
 
 def decide(form: DiagonalForm, p, budget: int = DEFAULT_BUDGET) -> Verdict:

@@ -10,8 +10,16 @@ import pytest
 
 import qdense
 from qdense.cli import main
-from qdense.denseness import decide, verdict_from_dict
+from qdense.denseness import (
+    NOT_DENSE,
+    RuleApplication,
+    ValuationGap,
+    Verdict,
+    decide,
+    verdict_from_dict,
+)
 from qdense.forms import DiagonalForm
+from qdense.oracle import quotient_coverage
 
 HERE = Path(__file__).resolve().parent
 
@@ -88,6 +96,8 @@ def test_decide_usage_error_exit_64(capsys):
         (["residues", "--n", "0", "--p", "7", "--M", "1"], 64),
         (["lift", "--c", "8", "--n", "3", "--p", "5", "--prec", "-1"], 64),
         (["aniso", "--n", "1", "--coeffs", "1,1", "--p", "7"], 64),
+        # 41 * 43 has no factor up to 37, so Miller-Rabin rejects it.
+        (["decide", "--n", "3", "--coeffs", "1,1", "--p", "1763"], 64),
     ],
 )
 def test_bad_input_fails_closed(argv, code, capsys):
@@ -118,6 +128,20 @@ SURVEY = "survey --n-list 3 --p-list 7 --coeff-range 1 2"
 def test_integer_bounds_are_checked_by_the_library(argv, message, capsys):
     assert main(argv.split()) == 64
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("survey --json",
+         "survey needs --input FILE or all of --n-list/--p-list/--coeff-range"),
+        ("lift --c abc --n 3 --p 5 --prec 4", "cannot parse rational 'abc'"),
+    ],
+    ids=["survey-no-input", "lift-c"],
+)
+def test_usage_errors_name_the_missing_or_bad_argument(argv, message, capsys):
+    assert main(argv.split()) == 64
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_oracle_table_over_the_budget_fails_closed_within_a_second(capsys):
@@ -211,6 +235,40 @@ def test_budget_env_var(monkeypatch, capsys):
     code = main(["decide", "--n", "3", "--coeffs", "1,1", "--p", "7"])
     assert code == 64
     assert "QDENSE_BUDGET must be an integer, got 'abc'" in capsys.readouterr().err
+
+
+def test_oracle_check_contradiction_exit_3(monkeypatch, capsys):
+    # A fabricated certificate forbidding valuation 0, which x^3 + y^3 hits.
+    fabricated = Verdict(
+        NOT_DENSE,
+        [RuleApplication("R2", "fabricated")],
+        ValuationGap(7, 3, frozenset({0})),
+    )
+    monkeypatch.setattr("qdense.cli.decide", lambda *args, **kwargs: fabricated)
+    code = main(f"{ORACLE} --box 5 --K 1 --check".split())
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 3
+    assert lines[-2:] == [
+        "certificate check: CONTRADICTION "
+        "(quotient valuation 0 = 0 mod 3 is forbidden)",
+        "  witness pair: ((-5, 0), (-5, 0))",
+    ]
+
+
+def test_oracle_check_without_certificate(capsys):
+    code = main(f"{ORACLE} --box 5 --K 1 --check".split())
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[-2:] == [
+        "engine verdict: Dense",
+        "certificate check: nothing to check (no certificate)",
+    ]
+
+
+def test_oracle_json(capsys):
+    assert main(f"{ORACLE} --box 6 --K 1 --json".split()) == 0
+    report = quotient_coverage(DiagonalForm(3, (1, 1)), 7, B=6, K=1, V=3)
+    assert capsys.readouterr().out == report.to_json() + "\n"
 
 
 def test_oracle_csv(capsys):

@@ -36,6 +36,11 @@ def test_difference_cover_examples():
     assert difference_cover_check({0}, 4) == (False, [1, 2, 3])
 
 
+def test_difference_cover_needs_a_residue():
+    with pytest.raises(ValueError, match="need at least one residue"):
+        difference_cover_check(set(), 3)
+
+
 # ---------------------------------------------------------------------------
 # decide_binary: frozen instances
 # ---------------------------------------------------------------------------
@@ -75,6 +80,23 @@ def test_binary_residue_gap_for_cubics_at_1_mod_3_primes():
     assert v.status == NOT_DENSE
     assert v.certificate == ResidueGap(p=7, n=3, unit_class=2, modulus_exponent=1)
     assert not is_nth_power_residue(2, 3, 7, 1)
+
+
+def test_binary_residue_gap_names_the_least_non_cube_at_every_prime():
+    # p*x^3 + y^3 has valuation classes {0, 1} mod 3, which cover Z/3, so
+    # units decide: NotDense with the least non-cube when p = 1 mod 3 (the
+    # cubes are then a proper subgroup of F_p^*), Dense otherwise.
+    primes = [p for p in range(2, 212) if all(p % q for q in range(2, p))]
+    assert len(primes) == 47
+    for p in primes:
+        v = decide_binary(DiagonalForm(3, (p, 1)), p)
+        if p % 3 == 1:
+            cubes = {pow(x, 3, p) for x in range(1, p)}
+            m = min(set(range(2, p)) - cubes)
+            assert v.status == NOT_DENSE, p
+            assert v.certificate == ResidueGap(p, 3, m, 1), p
+        else:
+            assert v.status == DENSE, p
 
 
 def test_binary_shifted_cubics_dense_when_every_unit_is_a_cube():
@@ -130,6 +152,11 @@ def test_binary_offsets_respect_the_budget():
 def test_binary_rejects_quadratics():
     with pytest.raises(ValueError, match="require degree n >= 3"):
         decide_binary(DiagonalForm(2, (1, 1)), 3)
+
+
+def test_binary_decision_needs_a_binary_form():
+    with pytest.raises(ValueError, match="exactly two coefficients"):
+        decide_binary(DiagonalForm(3, (1, 1, 1)), 7)
 
 
 def test_binary_scaling_and_swap_invariance():

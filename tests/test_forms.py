@@ -74,6 +74,11 @@ def test_normalize_binary_examples():
     assert (delta, delta % 3, la, lb) == (3, 0, 1, 1)
 
 
+def test_normalize_binary_needs_a_binary_form():
+    with pytest.raises(ValueError, match="needs a binary form"):
+        normalize_binary(DiagonalForm(3, (1, 1, 1)), 7)
+
+
 def test_normalize_keeps_signs_on_units():
     delta, la, lb = normalize_binary(DiagonalForm(4, (-8, 6)), 2)
     assert (la, lb) == (-1, 3)

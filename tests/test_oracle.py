@@ -301,6 +301,11 @@ def test_full_coverage_for_dense_sum_of_cubes():
     assert report.overall_coverage() == 1.0
 
 
+def test_overall_coverage_of_an_empty_window_is_zero():
+    report = quotient_coverage(DiagonalForm(3, (1, 1)), 7, B=2, K=1, V=0)
+    assert report._replace(coverage={}).overall_coverage() == 0.0
+
+
 def test_partial_coverage_for_non_dense_form():
     report = quotient_coverage(DiagonalForm(3, (5, 1)), 5, B=20, K=1, V=3)
     # all three valuation residues are observed for this (dense) form
@@ -370,6 +375,12 @@ def test_check_fabricated_gap_contradicted():
     )
     assert not result.consistent
     assert result.witness == ((-5, 0), (-5, 0))  # quotient 1 has valuation 0
+
+
+def test_quotient_witness_of_a_non_hit_raises_key_error():
+    report = quotient_coverage(DiagonalForm(3, (1, 1)), 7, B=2, K=1, V=0)
+    with pytest.raises(KeyError):
+        report.quotients.witness((0, 0))  # 0 is never a unit class
 
 
 def test_check_residue_gap_consistent():

@@ -27,6 +27,18 @@ def test_prime_modulus_certifies():
             as_prime(bad)
 
 
+def test_miller_rabin_rejects_composites_that_trial_division_misses():
+    # No factor up to 37, so each reaches the Miller-Rabin rounds; the last
+    # two are strong pseudoprimes to every prime base up to 7 and up to 23.
+    for bad in (1763, 3215031751, 3825123056546413051):  # 1763 = 41 * 43
+        with pytest.raises(ValueError, match=f"^{bad} is not prime$"):
+            as_prime(bad)
+    assert as_prime(18446744073709551557) == 2**64 - 59  # largest 64-bit prime
+    for big in (2**64, 2**64 + 13):
+        with pytest.raises(ValueError, match="restricted to machine-word size"):
+            as_prime(big)
+
+
 # ---------------------------------------------------------------------------
 # valuation
 # ---------------------------------------------------------------------------
